@@ -248,21 +248,25 @@ def cmd_churn(args: argparse.Namespace) -> int:
     return 0 if report.converged and not invariant_broken else 1
 
 
-def _run_cluster_audit(cluster, sample_size: int, seed: int):
+def _run_cluster_audit(cluster, args: argparse.Namespace):
     """Audit every node's Merkle index against its storage after a run.
 
-    Returns ``(keys_checked, mismatches)`` summed over the nodes; each node
-    gets its own deterministically seeded sampler so runs are repeatable.
+    Returns ``(table rows, mismatches)`` summed over the nodes (no rows and
+    0 without ``--audit``); each node gets its own deterministically seeded
+    sampler so runs are repeatable.
     """
     import random
 
+    if not args.audit:
+        return [], 0
     checked = mismatches = 0
     for position, (node_id, server) in enumerate(sorted(cluster.servers.items())):
-        rng = random.Random(seed * 1000 + position)
-        report = server.node.audit_merkle_index(sample_size=sample_size, rng=rng)
+        rng = random.Random(args.seed * 1000 + position)
+        report = server.node.audit_merkle_index(sample_size=args.audit, rng=rng)
         checked += report["keys_checked"]
         mismatches += report["mismatches"]
-    return checked, mismatches
+    return [["audit keys checked", checked],
+            ["audit mismatches", mismatches]], mismatches
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -302,11 +306,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     records = cluster.all_request_records()
     latency = analyze_requests(args.mechanism, records, duration_ms=args.duration_ms)
     metadata = measure_simulated_cluster(cluster)
-    audit_rows = []
-    if args.audit:
-        checked, mismatches = _run_cluster_audit(cluster, args.audit, args.seed)
-        audit_rows = [["audit keys checked", checked],
-                      ["audit mismatches", mismatches]]
+    audit_rows, mismatches = _run_cluster_audit(cluster, args)
     stats = cluster.stat_totals()
     print(render_table(
         ["metric", "value"],
@@ -339,7 +339,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     ))
     _write_stats_json(cluster, args.stats_json)
     _finish_trace(sink, args.trace)
-    return 0
+    return 1 if mismatches else 0
 
 
 def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
@@ -389,12 +389,7 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
             records = cluster.all_request_records()
             latency = analyze_requests(args.mechanism, records,
                                        duration_ms=elapsed_s * 1000.0)
-            audit_rows = []
-            if args.audit:
-                checked, mismatches = _run_cluster_audit(
-                    cluster, args.audit, args.seed)
-                audit_rows = [["audit keys checked", checked],
-                              ["audit mismatches", mismatches]]
+            audit_rows, mismatches = _run_cluster_audit(cluster, args)
             stats = cluster.stat_totals()
             wire_bytes = sum(server.endpoint.stats.bytes_sent
                              for server in cluster.servers.values())
@@ -420,7 +415,7 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
         # The shutdown-captured snapshot includes the daemons' final work.
         _write_stats_json(cluster, args.stats_json)
         _finish_trace(sink, args.trace)
-        return 0
+        return 1 if mismatches else 0
 
     return asyncio.run(run())
 
@@ -667,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--audit", type=int, default=0, metavar="SAMPLE",
                          help="after the workload, cold-verify up to SAMPLE "
                               "stored keys per node against the maintained "
-                              "Merkle index and report mismatches")
+                              "Merkle index and report mismatches (exit "
+                              "status 1 if there are any)")
     cluster.add_argument("--stats-json", default=None, dest="stats_json", metavar="PATH",
                          help="write the cluster's unified metrics snapshot as JSON "
                               "(same schema for both backends)")

@@ -10,8 +10,11 @@ actually diverge.
 
 This module provides:
 
-* :class:`MerkleTree` — a fixed-fanout hash tree over a key space, built from
-  ``(key, fingerprint)`` pairs.  Fingerprints are derived from the ground-truth
+* :class:`MerkleTree` — a fixed-fanout hash tree over a key space, read by
+  path: a frozen view of the index maps of a
+  :class:`~repro.kvstore.merkle_index.MerkleIndex`, or built from
+  ``(key, fingerprint)`` pairs through the same index code.  Fingerprints
+  are derived from the ground-truth
   sibling identities (origin dots), so the tree is mechanism-independent and
   two replicas agree on a key's fingerprint exactly when they store the same
   sibling set.
@@ -25,7 +28,7 @@ This module provides:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import codec
@@ -78,47 +81,47 @@ def bucket_path(key: str, fanout: int, depth: int) -> Tuple[int, ...]:
     return tuple(digest[level] % fanout for level in range(depth))
 
 
-@dataclass
-class MerkleNode:
-    """One node of the hash tree (internal or leaf bucket)."""
-
-    digest: bytes
-    children: List["MerkleNode"] = field(default_factory=list)
-    keys: List[str] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 class MerkleTree:
     """A fixed-depth, fixed-fanout Merkle tree over a key space.
 
     Keys are assigned to leaf buckets by hashing, so two trees built over the
     same key universe place every key in the same bucket and their digests are
-    directly comparable level by level.
+    directly comparable level by level.  The tree is a frozen view of a
+    :class:`~repro.kvstore.merkle_index.MerkleIndex`'s maps; building one from
+    ``fingerprints`` runs them through that index, the one digest algorithm.
     """
-
-    def __init__(self,
-                 fingerprints: Dict[str, bytes],
-                 fanout: int = 16,
-                 depth: int = 2,
-                 prebuilt_root: Optional[MerkleNode] = None) -> None:
-        if fanout < 2:
-            raise ConfigurationError(f"fanout must be >= 2, got {fanout}")
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
-        self.fanout = fanout
-        self.depth = depth
-        self._fingerprints = dict(fingerprints)
-        # ``prebuilt_root`` lets an incrementally maintained index snapshot
-        # itself as a MerkleTree without re-hashing anything (the digests were
-        # already paid for, one leaf path at a time, on the write path).
-        self.root = prebuilt_root if prebuilt_root is not None else self._build()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def __init__(self,
+                 fingerprints: Dict[str, bytes],
+                 fanout: int = 16,
+                 depth: int = 2) -> None:
+        from .merkle_index import MerkleIndex  # circular-import guard
+        index = MerkleIndex(None, fanout=fanout, depth=depth)
+        for key, fingerprint in fingerprints.items():
+            index.put(key, fingerprint)
+        index.flush()
+        self._adopt(index)
+
+    @classmethod
+    def view_of(cls, index) -> "MerkleTree":
+        """Freeze a flushed index's current maps into a tree."""
+        tree = cls.__new__(cls)
+        tree._adopt(index)
+        return tree
+
+    def _adopt(self, index) -> None:
+        # Shallow copies suffice: fingerprints and digests are bytes and the
+        # index keeps bucket members as immutable sorted tuples.
+        self.fanout = index.fanout
+        self.depth = index.depth
+        self._fingerprints = dict(index._fingerprints)
+        self._buckets = dict(index._buckets)
+        self._digests = dict(index._digests)
+        self._empty = index._empty
+
     @classmethod
     def for_node(cls, node: StorageNode, keys: Optional[Iterable[str]] = None,
                  fanout: int = 16, depth: int = 2) -> "MerkleTree":
@@ -127,33 +130,13 @@ class MerkleTree:
         fingerprints = {key: key_fingerprint(node, key) for key in key_list}
         return cls(fingerprints, fanout=fanout, depth=depth)
 
-    def _bucket_path(self, key: str) -> Tuple[int, ...]:
-        return bucket_path(key, self.fanout, self.depth)
-
-    def _build(self) -> MerkleNode:
-        buckets: Dict[Tuple[int, ...], List[str]] = {}
-        for key in self._fingerprints:
-            buckets.setdefault(self._bucket_path(key), []).append(key)
-
-        def build_level(prefix: Tuple[int, ...], level: int) -> MerkleNode:
-            if level == self.depth:
-                keys = sorted(buckets.get(prefix, []))
-                material = b"".join(self._fingerprints[key] for key in keys)
-                return MerkleNode(digest=_hash_bytes(material), keys=keys)
-            children = [build_level(prefix + (branch,), level + 1)
-                        for branch in range(self.fanout)]
-            material = b"".join(child.digest for child in children)
-            return MerkleNode(digest=_hash_bytes(material), children=children)
-
-        return build_level((), 0)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @property
     def root_digest(self) -> bytes:
         """Digest summarising the whole replica state."""
-        return self.root.digest
+        return self._digests.get((), self._empty[0])
 
     def fingerprint(self, key: str) -> Optional[bytes]:
         """The stored fingerprint for ``key`` (None when absent)."""
@@ -163,37 +146,39 @@ class MerkleTree:
         """Every key covered by the tree, sorted."""
         return sorted(self._fingerprints)
 
-    def node_at(self, path: Sequence[int]) -> MerkleNode:
-        """The tree node addressed by a branch path (``()`` is the root)."""
-        node = self.root
-        for branch in path:
-            if node.is_leaf or not 0 <= branch < len(node.children):
-                raise ConfigurationError(f"invalid tree path {tuple(path)!r}")
-            node = node.children[branch]
-        return node
+    def _path(self, path: Sequence[int]) -> Tuple[int, ...]:
+        path = tuple(path)
+        if len(path) > self.depth or not all(
+                isinstance(branch, int) and 0 <= branch < self.fanout
+                for branch in path):
+            raise ConfigurationError(f"invalid tree path {path!r}")
+        return path
 
     def digest_at(self, path: Sequence[int]) -> bytes:
-        """Digest of the node addressed by ``path``."""
-        return self.node_at(path).digest
+        """Digest of the node addressed by ``path`` (``()`` is the root)."""
+        path = self._path(path)
+        return self._digests.get(path, self._empty[len(path)])
 
     def child_digests(self, path: Sequence[int]) -> List[Tuple[Tuple[int, ...], bytes]]:
         """``(child_path, digest)`` pairs for the children of ``path``'s node.
 
         This is one "level" of the hashtree exchange: a replica ships these
         pairs to its peer, which compares them against its own tree and asks
-        for the children of the ones that differ.
+        for the children of the ones that differ.  A leaf bucket has none.
         """
-        node = self.node_at(path)
-        prefix = tuple(path)
-        return [(prefix + (branch,), child.digest)
-                for branch, child in enumerate(node.children)]
+        path = self._path(path)
+        if len(path) == self.depth:
+            return []
+        empty = self._empty[len(path) + 1]
+        return [(path + (branch,), self._digests.get(path + (branch,), empty))
+                for branch in range(self.fanout)]
 
     def bucket_fingerprints(self, path: Sequence[int]) -> Dict[str, bytes]:
         """``{key: fingerprint}`` of the leaf bucket addressed by ``path``."""
-        node = self.node_at(path)
-        if not node.is_leaf:
-            raise ConfigurationError(f"path {tuple(path)!r} is not a leaf bucket")
-        return {key: self._fingerprints[key] for key in node.keys}
+        path = self._path(path)
+        if len(path) != self.depth:
+            raise ConfigurationError(f"path {path!r} is not a leaf bucket")
+        return {key: self._fingerprints[key] for key in self._buckets.get(path, ())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MerkleTree):
@@ -227,23 +212,24 @@ def diff_keys(left: MerkleTree, right: MerkleTree,
     stats = stats if stats is not None else DiffStats()
     divergent: List[str] = []
 
-    def walk(a: MerkleNode, b: MerkleNode) -> None:
+    def walk(path: Tuple[int, ...]) -> None:
         stats.nodes_compared += 1
-        if a.digest == b.digest:
+        if left.digest_at(path) == right.digest_at(path):
             return
-        if a.is_leaf and b.is_leaf:
+        if len(path) == left.depth:
             stats.buckets_descended += 1
-            keys = set(a.keys) | set(b.keys)
-            for key in sorted(keys):
+            a = left.bucket_fingerprints(path)
+            b = right.bucket_fingerprints(path)
+            for key in sorted(a.keys() | b.keys()):
                 stats.keys_compared += 1
-                if left.fingerprint(key) != right.fingerprint(key):
+                if a.get(key) != b.get(key):
                     stats.keys_divergent += 1
                     divergent.append(key)
             return
-        for child_a, child_b in zip(a.children, b.children):
-            walk(child_a, child_b)
+        for branch in range(left.fanout):
+            walk(path + (branch,))
 
-    walk(left.root, right.root)
+    walk(())
     return divergent
 
 
@@ -323,7 +309,7 @@ class MerkleAntiEntropy:
         if self.maintenance == "incremental":
             left = source.merkle_index.snapshot()
             right = target.merkle_index.snapshot()
-            total = len(left._fingerprints.keys() | right._fingerprints.keys())
+            total = len(set(left.keys()).union(right.keys()))
             return left, right, total
         universe = sorted(self._universe(source, target))
         trees = []

@@ -29,10 +29,12 @@ Riak layout, where each partition carries its own hashtree:
   time a digest is needed, so a burst of writes into one bucket costs a single
   leaf re-hash plus one root-path recomputation, not one per write and never
   a tree rebuild;
-* :meth:`MerkleIndex.snapshot` freezes the current digests into an ordinary
-  :class:`~repro.kvstore.merkle.MerkleTree` (no hashing — the digests are
-  copied), so the existing exchange handlers and :func:`diff_keys` work
-  unchanged and two replicas agree with a from-scratch rebuild bit for bit;
+* :meth:`MerkleIndex.snapshot` returns a
+  :class:`~repro.kvstore.merkle.MerkleTree` that is a frozen view of the
+  index maps: a flush plus shallow copies of the key → fingerprint,
+  bucket → sorted key tuple and path → digest maps (no hashing, no tree
+  objects), so the exchange handlers and :func:`diff_keys` read digests by
+  path and two replicas agree with a from-scratch build bit for bit;
   per-range anti-entropy snapshots a *single partition's* tree and compares
   only that range;
 * the index shares its owner's durability: a crash-restart rebuilds it from
@@ -53,6 +55,8 @@ O(divergent buckets), and handoff tree work dropping to O(1).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -60,7 +64,6 @@ from ..clocks.interface import CausalityMechanism
 from ..cluster.ring import PartitionMap
 from ..core.exceptions import ConfigurationError
 from .merkle import (
-    MerkleNode,
     MerkleTree,
     _hash_bytes,
     bucket_path,
@@ -95,7 +98,8 @@ def _run_audit(index, storage: NodeStorage, sample_size: int,
     return {"keys_checked": len(keys), "mismatches": mismatches}
 
 
-def _empty_digests(fanout: int, depth: int) -> List[bytes]:
+@functools.lru_cache(maxsize=None)
+def _empty_digests(fanout: int, depth: int) -> Tuple[bytes, ...]:
     """Digest of an all-empty subtree rooted at each level (root is level 0).
 
     An unmaterialised bucket hashes exactly like an empty one in a full
@@ -106,7 +110,7 @@ def _empty_digests(fanout: int, depth: int) -> List[bytes]:
     digests[depth] = _hash_bytes(b"")
     for level in range(depth - 1, -1, -1):
         digests[level] = _hash_bytes(digests[level + 1] * fanout)
-    return digests
+    return tuple(digests)
 
 
 class MerkleIndex:
@@ -141,8 +145,12 @@ class MerkleIndex:
         for name in INDEX_COUNTERS:
             self.counters.setdefault(name, 0)
         self._empty = _empty_digests(fanout, depth)
+        # Tree nodes a snapshot exposes: 1 + fanout + ... + fanout**depth.
+        self._node_count = sum(fanout ** level for level in range(depth + 1))
         self._fingerprints: Dict[str, bytes] = {}
-        self._buckets: Dict[Tuple[int, ...], Set[str]] = {}
+        # Bucket members are immutable sorted tuples, so a snapshot can share
+        # them with the live index through a shallow copy of this map.
+        self._buckets: Dict[Tuple[int, ...], Tuple[str, ...]] = {}
         self._digests: Dict[Tuple[int, ...], bytes] = {}
         self._dirty: Set[Tuple[int, ...]] = set()
 
@@ -165,9 +173,8 @@ class MerkleIndex:
             if self._fingerprints.pop(key, None) is None:
                 return  # key was not indexed; nothing changed
             path = bucket_path(key, self.fanout, self.depth)
-            bucket = self._buckets.get(path)
-            if bucket is not None:
-                bucket.discard(key)
+            self._buckets[path] = tuple(
+                member for member in self._buckets[path] if member != key)
             self._dirty.add(path)
             return
         if fingerprint is None:
@@ -175,11 +182,19 @@ class MerkleIndex:
             self.counters["keys_hashed"] += 1
         else:
             self.counters["fingerprints_imported"] += 1
-        if self._fingerprints.get(key) == fingerprint:
+        self.put(key, fingerprint)
+
+    def put(self, key: str, fingerprint: bytes) -> None:
+        """Set one key's fingerprint and dirty its bucket (no hashing)."""
+        previous = self._fingerprints.get(key)
+        if previous == fingerprint:
             return  # idempotent merge / duplicate delivery: tree unchanged
         self._fingerprints[key] = fingerprint
         path = bucket_path(key, self.fanout, self.depth)
-        self._buckets.setdefault(path, set()).add(key)
+        if previous is None:
+            bucket = self._buckets.get(path, ())
+            at = bisect.bisect_left(bucket, key)
+            self._buckets[path] = bucket[:at] + (key,) + bucket[at:]
         self._dirty.add(path)
 
     # ------------------------------------------------------------------ #
@@ -201,7 +216,7 @@ class MerkleIndex:
         for path in self._dirty:
             keys = self._buckets.get(path)
             if keys:
-                material = b"".join(self._fingerprints[key] for key in sorted(keys))
+                material = b"".join(self._fingerprints[key] for key in keys)
                 self._digests[path] = _hash_bytes(material)
                 rehashed += 1
             else:
@@ -259,33 +274,15 @@ class MerkleIndex:
         """Freeze the current digests into a :class:`MerkleTree`.
 
         The returned tree is immutable and digest-identical to
-        ``MerkleTree.for_node(...)`` over the same keys, but is assembled from
-        the maintained digests without hashing anything — the cheap per-
-        exchange operation that replaces the per-exchange rebuild.  Exchange
-        sessions hold on to it, so later writes do not disturb in-flight
-        level comparisons.
+        ``MerkleTree.for_node(...)`` over the same keys.  It is a flush plus
+        shallow copies of the index maps — no hashing and no per-node
+        objects — the cheap per-exchange operation that replaces the
+        per-exchange rebuild.  Exchange sessions hold on to it, so later
+        writes do not disturb in-flight level comparisons.
         """
         self.flush()
-        exported = 0
-
-        def build(path: Tuple[int, ...], level: int) -> MerkleNode:
-            nonlocal exported
-            exported += 1
-            if level == self.depth:
-                return MerkleNode(digest=self.digest_at(path),
-                                  keys=sorted(self._buckets.get(path, ())))
-            return MerkleNode(
-                digest=self.digest_at(path),
-                children=[build(path + (branch,), level + 1)
-                          for branch in range(self.fanout)],
-            )
-
-        root = build((), 0)
-        self.counters["snapshot_digests"] += exported
-        # MerkleTree.__init__ copies the fingerprint dict, which is what
-        # freezes the snapshot against further index updates.
-        return MerkleTree(self._fingerprints, fanout=self.fanout,
-                          depth=self.depth, prebuilt_root=root)
+        self.counters["snapshot_digests"] += self._node_count
+        return MerkleTree.view_of(self)
 
     # ------------------------------------------------------------------ #
     # Storage attachment (listener plumbing)
@@ -310,10 +307,7 @@ class MerkleIndex:
         hashtree is missing or marked stale at startup.
         """
         self.counters["full_rebuilds"] += 1
-        self._fingerprints.clear()
-        self._buckets.clear()
-        self._digests.clear()
-        self._dirty.clear()
+        self.reset()
         for key, state in items:
             self.on_state_changed(key, state)
         self.flush()
@@ -408,11 +402,14 @@ class VnodeIndexSet:
 
     def index_for(self, partition_id: int) -> MerkleIndex:
         """The member index of one partition."""
-        return self.indexes[partition_id]
+        index = self.indexes.get(partition_id)
+        if index is None:
+            raise ConfigurationError(f"unknown partition {partition_id!r}")
+        return index
 
     def partition_root(self, partition_id: int) -> bytes:
         """One range's root digest (flushes that range only)."""
-        return self.indexes[partition_id].root_digest
+        return self.index_for(partition_id).root_digest
 
     @property
     def empty_root_digest(self) -> bytes:
@@ -421,7 +418,7 @@ class VnodeIndexSet:
 
     def snapshot_partition(self, partition_id: int) -> MerkleTree:
         """Freeze one range's digests into a :class:`MerkleTree`."""
-        return self.indexes[partition_id].snapshot()
+        return self.index_for(partition_id).snapshot()
 
     def reset_vnode(self, partition_id: int) -> None:
         """Empty one range's tree (its slice of the disk was wiped)."""
@@ -473,9 +470,7 @@ class VnodeIndexSet:
         bit: the combined tree re-derives bucket digests from the maintained
         fingerprints but hashes no key states.
         """
-        self.flush()
-        return MerkleTree(self._combined_fingerprints(),
-                          fanout=self.fanout, depth=self.depth).root_digest
+        return self.snapshot().root_digest
 
     def keys(self) -> List[str]:
         """Every indexed key across every range, sorted."""

@@ -11,6 +11,10 @@ One :class:`AntiEntropyEngine` per node runs the sync protocols over effects:
   fingerprints, and finally only the divergent keys' states travel, batched
   into ``MERKLE_KEY_STATES`` messages.
 
+Peer input that does not fit the local tree shape (a path outside the tree,
+an interior path where a leaf is expected, an unknown partition) is dropped
+like a stale session's message; a later exchange supersedes it.
+
 Differing ranges are descended **concurrently**: `on_merkle_partition_diff`
 opens every differing range at once and each descends independently (their
 level messages interleave in flight), with an :class:`AntiEntropySession`
@@ -25,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.exceptions import ConfigurationError
 from ...network.message import Message, MessageType
 from ..merkle import MerkleTree
 from .effects import Send
@@ -230,6 +235,8 @@ class AntiEntropyEngine:
                           if cache_key[0] == message.sender]:
             del self.peer_trees[cache_key]
 
+        if not roots.keys() <= index.indexes.keys():
+            return  # names a partition this node does not have: drop
         local_live = {partition_id for partition_id in index.partition_ids()
                       if index.index_for(partition_id).key_count > 0}
         compared = sorted(local_live | set(roots))
@@ -319,22 +326,26 @@ class AntiEntropyEngine:
 
         cache_key = (message.sender, partition)
         cached = self.peer_trees.get(cache_key)
-        if cached is None or cached[0] != session_id:
-            # First message of this session for this range (or an earlier
-            # message was lost and a deeper one arrived) — snapshot a fresh
-            # tree for it.
-            tree = self._merkle_tree(partition)
-            self.peer_trees[cache_key] = (session_id, tree)
-        else:
-            tree = cached[1]
-
-        differing = [tuple(path) for path, digest in entries
-                     if tree.digest_at(path) != digest]
-        at_leaves = level >= tree.depth
-        buckets: Optional[Dict[Tuple[int, ...], Dict[str, bytes]]] = None
+        try:
+            if cached is None or cached[0] != session_id:
+                # First message of this session for this range (or an earlier
+                # message was lost and a deeper one arrived) — snapshot a
+                # fresh tree for it.
+                tree = self._merkle_tree(partition)
+                self.peer_trees[cache_key] = (session_id, tree)
+            else:
+                tree = cached[1]
+            differing = [tuple(path) for path, digest in entries
+                         if tree.digest_at(path) != digest]
+            at_leaves = level >= tree.depth
+            buckets: Optional[Dict[Tuple[int, ...], Dict[str, bytes]]] = None
+            if at_leaves and differing:
+                buckets = {path: tree.bucket_fingerprints(path)
+                           for path in differing}
+        except ConfigurationError:
+            return  # paths or partition do not fit this node's trees: drop
         size = len(differing) * (level + 1) + node.env.request_overhead_bytes
-        if at_leaves and differing:
-            buckets = {path: tree.bucket_fingerprints(path) for path in differing}
+        if buckets is not None:
             size += sum(len(key.encode("utf-8")) + DIGEST_BYTES
                         for bucket in buckets.values() for key in bucket)
         if at_leaves or not differing:
@@ -384,19 +395,23 @@ class AntiEntropyEngine:
             return
 
         buckets = message.payload.get("buckets")
-        if buckets is None:
-            # Descend one level: ship child digests of every differing path.
-            entries: List[Tuple[Tuple[int, ...], bytes]] = []
-            for path in differing:
-                entries.extend(tree.child_digests(path))
-            self._send_merkle_level(session_id, session.peer_id, level + 1,
-                                    entries, partition=partition)
-            return
+        try:
+            if buckets is None:
+                # Descend one level: ship child digests of every differing path.
+                entries: List[Tuple[Tuple[int, ...], bytes]] = []
+                for path in differing:
+                    entries.extend(tree.child_digests(path))
+                self._send_merkle_level(session_id, session.peer_id, level + 1,
+                                        entries, partition=partition)
+                return
+            own_buckets = [(tree.bucket_fingerprints(path), peer_fingerprints)
+                           for path, peer_fingerprints in buckets.items()]
+        except ConfigurationError:
+            return  # paths do not fit this node's tree: drop
 
         # Leaf level: fingerprints localise the exact divergent keys.
         divergent: List[str] = []
-        for path, peer_fingerprints in buckets.items():
-            own_fingerprints = tree.bucket_fingerprints(tuple(path))
+        for own_fingerprints, peer_fingerprints in own_buckets:
             for key in sorted(set(own_fingerprints) | set(peer_fingerprints)):
                 if own_fingerprints.get(key) != peer_fingerprints.get(key):
                     divergent.append(key)

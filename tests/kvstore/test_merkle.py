@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks import DVVMechanism
 from repro.core import ConfigurationError
@@ -14,6 +20,7 @@ from repro.kvstore.merkle import (
     diff_keys,
     key_fingerprint,
 )
+from repro.kvstore.merkle_index import MerkleIndex
 
 
 def populated_store(keys=10, servers=("A", "B", "C")):
@@ -77,9 +84,103 @@ class TestMerkleTree:
                 all_keys.extend(tree.bucket_fingerprints(leaf_path))
         assert sorted(all_keys) == tree.keys()
         with pytest.raises(ConfigurationError):
-            tree.node_at((9,))
+            tree.digest_at((9,))
         with pytest.raises(ConfigurationError):
             tree.bucket_fingerprints(())  # root is not a leaf
+
+
+def reference_tree(fingerprints, fanout, depth):
+    """Independent from-scratch builder: the recursive algorithm MerkleTree
+    used before it became a view of MerkleIndex.  Returns the digest of every
+    path and the sorted keys of every leaf bucket."""
+    buckets = {}
+    for key in fingerprints:
+        digest = hashlib.md5(key.encode("utf-8")).digest()
+        path = tuple(digest[level] % fanout for level in range(depth))
+        buckets.setdefault(path, []).append(key)
+    digests, leaves = {}, {}
+
+    def build(prefix):
+        if len(prefix) == depth:
+            leaves[prefix] = sorted(buckets.get(prefix, []))
+            material = b"".join(fingerprints[key] for key in leaves[prefix])
+        else:
+            material = b"".join(build(prefix + (branch,)) for branch in range(fanout))
+        digests[prefix] = hashlib.sha256(material).digest()
+        return digests[prefix]
+
+    build(())
+    return digests, leaves
+
+
+def assert_matches_reference(tree, fingerprints):
+    digests, leaves = reference_tree(fingerprints, tree.fanout, tree.depth)
+    for path, digest in digests.items():
+        assert tree.digest_at(path) == digest
+    for path, keys in leaves.items():
+        assert tree.bucket_fingerprints(path) == {key: fingerprints[key] for key in keys}
+
+
+#: 50 fixed keys with fixed fingerprints, and their root digest per tree
+#: shape as computed by the recursive builder before MerkleTree became a view
+#: of MerkleIndex.  Never regenerate these from the current code.
+FIXED_FINGERPRINTS = {f"key-{i}": hashlib.sha256(f"fp-{i}".encode()).digest()
+                      for i in range(50)}
+FIXED_ROOTS = {
+    (16, 2): "61fd9b51339985b7a5e93ead92688eeb53ae8e986ac4ca9cb6f3e8d3464df7b0",
+    (4, 2): "721d0a805ee03e3e579fc6b9d0d7b1416b0ac91bb6ed025543112842bccbd038",
+    (3, 3): "e13e6f9cd0eaf4a0d4b7d62d62b8c89a06951356615fc0836c7117118a54711a",
+}
+
+KEYS = [f"k{i}" for i in range(24)]
+OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(["put", "put", "drop", "flush", "snapshot"]),
+    st.sampled_from(KEYS),
+    st.binary(min_size=32, max_size=32),
+), max_size=60)
+
+
+class TestIndependentReference:
+    @pytest.mark.parametrize("shape", sorted(FIXED_ROOTS))
+    def test_pinned_root_digest(self, shape):
+        fanout, depth = shape
+        tree = MerkleTree(FIXED_FINGERPRINTS, fanout=fanout, depth=depth)
+        digests, _ = reference_tree(FIXED_FINGERPRINTS, fanout, depth)
+        assert tree.root_digest.hex() == digests[()].hex() == FIXED_ROOTS[shape]
+        assert_matches_reference(tree, FIXED_FINGERPRINTS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fanout=st.integers(2, 5), depth=st.integers(1, 3),
+           initial=st.dictionaries(st.sampled_from(KEYS),
+                                   st.binary(min_size=32, max_size=32)),
+           operations=OPERATIONS)
+    def test_index_equals_reference_after_any_mutation_sequence(
+            self, fanout, depth, initial, operations):
+        # A mechanism whose states are never empty: every state the listener
+        # sees is live, and drops arrive as ``state=None``.
+        index = MerkleIndex(SimpleNamespace(is_empty=lambda state: False),
+                            fanout=fanout, depth=depth)
+        model = dict(initial)
+        for key, fingerprint in initial.items():
+            index.on_state_changed(key, "live", fingerprint=fingerprint)
+        held = []
+        for operation, key, fingerprint in itertools.chain(
+                operations, [("snapshot", None, None)]):
+            if operation == "put":
+                index.on_state_changed(key, "live", fingerprint=fingerprint)
+                model[key] = fingerprint
+            elif operation == "drop":
+                index.on_state_changed(key, None)
+                model.pop(key, None)
+            elif operation == "flush":
+                index.flush()
+            else:
+                snapshot = index.snapshot()
+                assert_matches_reference(snapshot, model)
+                held.append((snapshot, dict(model)))
+        assert_matches_reference(MerkleTree(model, fanout=fanout, depth=depth), model)
+        for snapshot, frozen in held:  # later mutations never leak backwards
+            assert_matches_reference(snapshot, frozen)
 
 
 class TestDiffKeys:

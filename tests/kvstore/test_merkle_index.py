@@ -12,6 +12,7 @@ from repro.kvstore import ClientSession, SyncReplicatedStore
 from repro.kvstore.merkle import (
     MerkleAntiEntropy,
     MerkleTree,
+    bucket_path,
     diff_keys,
     state_fingerprint,
 )
@@ -124,6 +125,27 @@ class TestSnapshots:
         assert snap.root_digest == frozen                 # snapshot unaffected
         assert index.root_digest != frozen                # index moved on
         assert index.root_digest == rebuilt_digest(node)
+
+        # Later inserts and drops must not leak into a held snapshot's
+        # buckets, even though it shares bucket tuples with the live index.
+        snap = index.snapshot()
+        occupied = bucket_path("key-1", 16, 2)
+        newcomer = next(f"extra-{n}" for n in range(100000)
+                        if bucket_path(f"extra-{n}", 16, 2) == occupied)
+        dropped = next(f"key-{i}" for i in range(2, 12)
+                       if bucket_path(f"key-{i}", 16, 2) != occupied)
+        touched = [occupied, bucket_path(dropped, 16, 2)]
+        keys = snap.keys()
+        top = snap.child_digests(())
+        buckets = [snap.bucket_fingerprints(path) for path in touched]
+        write(node, client, newcomer, "new")
+        node.storage.delete(dropped)
+        assert index.root_digest == rebuilt_digest(node)
+        assert snap.keys() == keys
+        assert snap.child_digests(()) == top
+        assert [snap.bucket_fingerprints(path) for path in touched] == buckets
+        assert newcomer not in snap.bucket_fingerprints(occupied)
+        assert dropped in snap.bucket_fingerprints(touched[1])
 
     def test_snapshot_supports_the_wire_protocol_queries(self):
         node, index = indexed_node(fanout=4, depth=2)

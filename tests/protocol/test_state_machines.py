@@ -18,6 +18,7 @@ from repro.clocks import create
 from repro.cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService, QuorumConfig
 from repro.kvstore import WriteLog
 from repro.kvstore.client import ClientSession
+from repro.kvstore.merkle_index import VnodeIndexSet
 from repro.kvstore.protocol import ClientProtocol, MerkleSyncStats, ProtocolNode
 from repro.kvstore.protocol.effects import ClearTimer, Send, SetTimer
 from repro.kvstore.protocol.env import StaticProtocolEnv
@@ -354,3 +355,80 @@ def test_membership_put_skips_unreachable_replicas_and_holds_hints():
     # Membership mode arms no deadlines; the down primary gets a held hint.
     assert set_timers(effects) == []
     assert down in node.store.hint_targets()
+
+
+# --------------------------------------------------------------------------- #
+# Anti-entropy: peer input that does not fit the tree shape is dropped
+# --------------------------------------------------------------------------- #
+def merkle_node(env):
+    node = ProtocolNode("A", env.mechanism, env)
+    node.store.attach_merkle_index(VnodeIndexSet(
+        env.mechanism, partition_map=env.placement.partition_map,
+        fanout=env.merkle_fanout, depth=env.merkle_depth,
+        counters=node.store.stats))
+    writer = ClientSession("c1")
+    for i in range(32):
+        key = f"key-{i}"
+        node.store.local_write(key, None, writer.prepare_write(key, "v", None),
+                               writer.client_id)
+    return node
+
+
+def merkle_sync_request(session, level, entries, partition):
+    return Message(sender="B", receiver="A",
+                   msg_type=MessageType.MERKLE_SYNC_REQUEST,
+                   payload={"session": session, "level": level,
+                            "entries": entries, "partition": partition},
+                   size_bytes=0)
+
+
+@pytest.mark.parametrize("level,entries,partition", [
+    (1, [((99,), b"\x00" * 32)], 0),              # path outside the tree
+    (2, [((1,), b"\x00" * 32)], 0),               # interior path at leaf level
+    (1, [((0,), b"\x00" * 32)], 10_000),          # partition outside the map
+], ids=["path_outside_tree", "interior_path_at_leaf_level", "unknown_partition"])
+def test_malformed_merkle_sync_request_is_dropped(level, entries, partition):
+    env = build_env()
+    node = merkle_node(env)
+
+    assert node.on_message(merkle_sync_request(1, level, entries, partition),
+                           now=0.0) == []
+
+    # The node keeps serving well-formed exchanges afterwards.
+    effects = node.on_message(
+        merkle_sync_request(2, 1, [((0,), b"\x00" * 32)], 0), now=1.0)
+    [response] = sends(effects, MessageType.MERKLE_SYNC_RESPONSE)
+    assert response.payload["session"] == 2
+
+
+def test_merkle_partition_digests_naming_an_unknown_partition_are_dropped():
+    env = build_env()
+    node = merkle_node(env)
+    message = Message(sender="B", receiver="A",
+                      msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
+                      payload={"session": 1, "roots": {10_000: b"\x00" * 32}},
+                      size_bytes=0)
+    assert node.on_message(message, now=0.0) == []
+    assert env.merkle_stats.partitions_compared == 0
+
+
+@pytest.mark.parametrize("differing,buckets", [
+    ([(99,)], None),                              # descend below a bogus path
+    ([(1,)], {(1,): {"key-0": b"\x00" * 32}}),    # interior path as a bucket
+], ids=["path_outside_tree", "interior_path_as_bucket"])
+def test_malformed_merkle_sync_response_is_dropped(differing, buckets):
+    env = build_env()
+    node = merkle_node(env)
+    [opening] = sends(node.start_merkle_sync_with("B", now=0.0))
+    session = opening.payload["session"]
+    partition = min(opening.payload["roots"])
+    response = Message(sender="B", receiver="A",
+                       msg_type=MessageType.MERKLE_SYNC_RESPONSE,
+                       payload={"session": session, "level": 1,
+                                "differing": differing, "buckets": buckets,
+                                "partition": partition},
+                       size_bytes=0)
+    node.anti_entropy.sessions[session].open_partitions.add(partition)
+
+    assert node.on_message(response, now=1.0) == []
+    assert session in node.anti_entropy.sessions  # not finished, just dropped

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.kvstore.server import StorageNode
 
 
 class TestParser:
@@ -91,6 +94,36 @@ class TestClusterCommand:
         output = capsys.readouterr().out
         assert "request mode" in output and "async" in output
         assert "requests failed" in output
+
+
+    def test_clean_audited_run_exits_zero(self, capsys):
+        assert main(["cluster", "--mechanism", "dvvset", "--clients", "4",
+                     "--keys", "16", "--duration-ms", "200",
+                     "--audit", "64"]) == 0
+        output = capsys.readouterr().out
+        assert "audit keys checked" in output
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_audit_mismatch_exits_nonzero(self, backend, capsys, monkeypatch):
+        original = StorageNode.audit_merkle_index
+        drifted = []
+
+        def drift_then_audit(node, *args, **kwargs):
+            if not drifted:  # corrupt one maintained fingerprint, once
+                index = node.merkle_index
+                key = min(node.storage.keys())
+                index.index_for(index.partition_of(key))._fingerprints[key] = \
+                    b"\x00" * 32
+                drifted.append(key)
+            return original(node, *args, **kwargs)
+
+        monkeypatch.setattr(StorageNode, "audit_merkle_index", drift_then_audit)
+        assert main(["cluster", "--backend", backend, "--mechanism", "dvvset",
+                     "--clients", "4", "--keys", "16", "--duration-ms", "200",
+                     "--audit", "64"]) == 1
+        assert drifted
+        assert re.search(r"audit mismatches\s+1\s*$", capsys.readouterr().out,
+                         re.MULTILINE)
 
 
 class TestChurnCommand:
