@@ -83,7 +83,7 @@ async def _run_cluster_workload(mechanism_name: str,
         records = cluster.all_request_records()
         latency = analyze_requests(mechanism_name, records,
                                    duration_ms=elapsed_s * 1000.0)
-        wire_bytes = sum(server.endpoint.stats.bytes_sent
+        wire_bytes = sum(server.transport.stats.bytes_sent
                          for server in cluster.servers.values())
         return {
             "mechanism": mechanism_name,

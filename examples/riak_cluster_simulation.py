@@ -48,13 +48,13 @@ def run_one(mechanism_name: str):
     latency = analyze_requests(mechanism_name, cluster.all_request_records(),
                                duration_ms=DURATION_MS)
     metadata = measure_simulated_cluster(cluster)
-    return latency, metadata, cluster.transport.stats
+    return latency, metadata, cluster.metrics_snapshot()["transport.bytes_sent"]
 
 
 def main() -> None:
     rows = []
     for name in MECHANISMS:
-        latency, metadata, transport = run_one(name)
+        latency, metadata, wire_bytes = run_one(name)
         rows.append([
             name,
             latency.requests,
@@ -62,7 +62,7 @@ def main() -> None:
             round(latency.overall.p95, 2),
             round(latency.mean_context_bytes, 1),
             metadata.total_bytes,
-            transport.bytes_sent,
+            wire_bytes,
         ])
     print(render_table(
         ["mechanism", "requests", "mean latency ms", "p95 ms",

@@ -1,8 +1,7 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the package's only metadata.
 
-The pyproject.toml [project] table is the canonical metadata; this shim exists
-so that editable installs work on environments whose setuptools predates full
-PEP 660 support (no `wheel` package available offline).
+Install for development with ``pip install -e .``, or skip installing and
+run from a checkout with ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -349,6 +349,12 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
 
     from .kvstore import AsyncioCluster
 
+    if args.anti_entropy != "merkle":
+        print("--backend asyncio runs Merkle anti-entropy only; "
+              f"--anti-entropy {args.anti_entropy} needs --backend sim",
+              file=sys.stderr)
+        return 2
+
     async def run() -> int:
         tracer, sink = _open_tracer(args.trace)
         cluster = AsyncioCluster(
@@ -391,7 +397,7 @@ def _cmd_cluster_asyncio(args: argparse.Namespace) -> int:
                                        duration_ms=elapsed_s * 1000.0)
             audit_rows, mismatches = _run_cluster_audit(cluster, args)
             stats = cluster.stat_totals()
-            wire_bytes = sum(server.endpoint.stats.bytes_sent
+            wire_bytes = sum(server.transport.stats.bytes_sent
                              for server in cluster.servers.values())
             print(render_table(
                 ["metric", "value"],
@@ -444,7 +450,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await cluster.start()
         manifest = {
             "mechanism": args.mechanism,
-            "server_ids": cluster.server_ids,
+            "server_ids": list(cluster.servers),
             "quorum": {"n": cluster.quorum.n, "r": cluster.quorum.r,
                        "w": cluster.quorum.w, "sloppy": cluster.quorum.sloppy},
             "virtual_nodes": cluster.ring.virtual_nodes,
@@ -488,6 +494,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
     from .kvstore.asyncio_cluster import AsyncClusterClient, UnixDirAddressBook
     from .kvstore.protocol import MerkleSyncStats
     from .kvstore.protocol.env import StaticProtocolEnv
+    from .network.asyncio_transport import AsyncioEndpoint
 
     manifest_path = os.path.join(args.socket_dir, "cluster.json")
     try:
@@ -521,8 +528,10 @@ def cmd_connect(args: argparse.Namespace) -> int:
         env.tracer = tracer
 
     async def run() -> int:
-        client = AsyncClusterClient(args.client_id, env,
-                                    UnixDirAddressBook(manifest["socket_dir"]))
+        book = UnixDirAddressBook(manifest["socket_dir"])
+        client = AsyncClusterClient(
+            args.client_id, env,
+            lambda node_id, handler: AsyncioEndpoint(node_id, book, handler=handler))
         await client.start()
         try:
             if args.operation == "put":

@@ -11,15 +11,18 @@ Two store frontends share the same replica-local machinery
   anti-entropy; used by the latency experiment and the integration tests.
 
 The message protocol itself lives in :mod:`repro.kvstore.protocol` as
-transport-agnostic state machines; besides the simulator,
-:class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` hosts them over real
-TCP/Unix-domain sockets for wall-clock benchmarking.
+transport-agnostic state machines.  :class:`~repro.kvstore.host.ClusterHost`
+hosts them — ring, placement, env, server and client shells, daemons,
+metrics — for both the simulator and
+:class:`~repro.kvstore.asyncio_cluster.AsyncioCluster`, which runs them over
+real TCP/Unix-domain sockets for wall-clock benchmarking.
 """
 
 from .anti_entropy import AntiEntropyDaemon, AntiEntropyScheduler, HintedHandoffDaemon
-from .asyncio_cluster import AsyncClusterClient, AsyncioCluster, AsyncServerNode
+from .asyncio_cluster import AsyncClusterClient, AsyncioCluster
 from .client import ClientSession, GetResult, PutResult
 from .context import CausalContext
+from .host import ClusterHost, HostedClient, HostedServer
 from .merkle import (
     MERKLE_MAINTENANCE_MODES,
     DiffStats,
@@ -38,18 +41,16 @@ from .merge import (
     UnionMerge,
     resolve_and_writeback,
 )
-from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
-from .server import Hint, StorageNode
-from .simulated import (
+from .protocol import (
     DEADLINE_MODES,
     REQUEST_MODES,
     MerkleSyncStats,
-    MessageServer,
     RequestRecord,
-    SimulatedClient,
-    SimulatedCluster,
     default_value_size,
 )
+from .read_repair import ReadRepairStats, RepairPlan, plan_read_repair
+from .server import Hint, StorageNode
+from .simulated import SimulatedCluster
 from .storage import NodeStorage, VnodeManager, VnodeStore
 from .sync_store import SyncReplicatedStore
 from .write_log import WriteLog, WriteRecord
@@ -61,28 +62,28 @@ __all__ = [
     "AntiEntropyDaemon",
     "AntiEntropyScheduler",
     "AsyncClusterClient",
-    "AsyncServerNode",
     "AsyncioCluster",
     "CallbackResolver",
     "CausalContext",
     "ClientSession",
+    "ClusterHost",
     "DiffStats",
     "GetResult",
     "Hint",
     "HintedHandoffDaemon",
+    "HostedClient",
+    "HostedServer",
     "LastWriterWins",
     "MerkleAntiEntropy",
     "MerkleIndex",
     "MerkleSyncStats",
     "MerkleTree",
-    "MessageServer",
     "NodeStorage",
     "PutResult",
     "ReadRepairStats",
     "RepairPlan",
     "RequestRecord",
     "SiblingResolver",
-    "SimulatedClient",
     "SimulatedCluster",
     "StorageNode",
     "SyncReplicatedStore",

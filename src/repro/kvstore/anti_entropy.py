@@ -5,8 +5,10 @@ path, see :mod:`repro.kvstore.read_repair`) and a background anti-entropy
 process that periodically exchanges state between replica pairs — the dotted
 "server sync" arrows in the paper's Figure 1.  This module provides both the
 direct form used with the synchronous store and the
-:class:`~repro.network.simulator.PeriodicTask`-driven daemons for the
-simulated message-passing cluster.
+:class:`~repro.network.simulator.PeriodicTask`-driven daemons the
+message-passing clusters run (the simulator schedules them on its
+:class:`~repro.network.simulator.Simulation`, the asyncio backend on
+``loop.call_later``).
 
 Two sync strategies exist on the simulated cluster (selected by
 ``SimulatedCluster(anti_entropy_strategy=...)``):
@@ -21,7 +23,7 @@ Two sync strategies exist on the simulated cluster (selected by
   ``MERKLE_KEY_STATES`` messages.  Bytes on the wire are proportional to the
   *divergence*, which is what lets the DVV/DVVSet metadata advantage show up
   in sync traffic.  The message handlers live in
-  :mod:`repro.kvstore.simulated`; the tree itself in
+  :mod:`repro.kvstore.protocol.anti_entropy`; the tree itself in
   :mod:`repro.kvstore.merkle`.
 
 The :class:`AntiEntropyDaemon` below schedules replica pairs for either
@@ -90,7 +92,7 @@ class AntiEntropyScheduler:
 
 
 class AntiEntropyDaemon:
-    """Periodic anti-entropy for the simulated message-passing cluster.
+    """Periodic anti-entropy for the message-passing clusters.
 
     The daemon does not touch node state directly; it asks the cluster to
     start an exchange between a replica pair (full-state or Merkle-delta,
@@ -169,7 +171,7 @@ class AntiEntropyDaemon:
 
 
 class HintedHandoffDaemon:
-    """Background replay of coordinator-held hints (simulated cluster).
+    """Background replay of coordinator-held hints (message-passing clusters).
 
     When a coordinator cannot reach one of a key's primary replicas during a
     write it stores a *hint* — the target id plus the post-write state — in

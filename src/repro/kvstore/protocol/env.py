@@ -8,13 +8,11 @@ sync statistics) and the two oracle queries that differ per backend
 coordination and hint replay — and ``is_registered`` — "is this process still
 alive", used to drop queued work after a simulated crash).
 
-Backends provide it differently:
-
-* the deterministic simulator's env proxies live attributes of the
-  :class:`~repro.kvstore.simulated.SimulatedCluster`, so tests that tweak
-  cluster knobs at runtime keep working;
-* the asyncio backend builds a :class:`StaticProtocolEnv` once at node start
-  (real deployments do not mutate quorum config mid-request).
+The shared :class:`~repro.kvstore.host.ClusterHost` builds one
+:class:`StaticProtocolEnv` per cluster and hands the same object to every
+hosted machine.  The simulator replaces the two oracles with its own
+failure-detector view; the asyncio backend keeps the permissive defaults.
+A test that changes a knob mid-run assigns to the cluster's ``env``.
 
 State machines only ever *read* the env.
 """
@@ -39,12 +37,10 @@ DEADLINE_MODES = ("fixed", "adaptive")
 
 @dataclass
 class StaticProtocolEnv:
-    """A plain-value env for backends whose configuration is fixed at start.
+    """The plain-value env every hosted machine reads.
 
     The attribute set *is* the contract: anything here may be read by the
-    state machines.  The simulator's proxy env (see
-    ``repro.kvstore.simulated._ClusterEnv``) exposes the same names as
-    properties over the live cluster object.
+    state machines.
     """
 
     mechanism: Any

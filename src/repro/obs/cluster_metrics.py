@@ -4,12 +4,11 @@
 cluster — storage counters, transport byte/deadline accounting, Merkle
 exchange stats, read-repair counters, request records — into one
 :class:`~repro.obs.metrics.MetricsRegistry`, purely through duck-typed
-attributes both :class:`~repro.kvstore.simulated.SimulatedCluster` and
-:class:`~repro.kvstore.asyncio_cluster.AsyncioCluster` expose.  The snapshot
-schema is therefore **identical across backends**: the only structural
-difference (the simulator has one shared :class:`Transport`, the asyncio
-backend one endpoint per node) is absorbed by summing per-endpoint stats
-into the same ``transport.*`` names.
+attributes of the shared :class:`~repro.kvstore.host.ClusterHost`.  The
+snapshot schema is therefore **identical across backends**: the only
+structural difference (the simulator has one shared :class:`Transport`, the
+asyncio backend one endpoint per node) is absorbed by summing every object
+``cluster.transport_stats()`` returns into the same ``transport.*`` names.
 
 Sources read the live cluster at snapshot time, so nodes that join or leave
 after wiring are picked up automatically, and a registry never goes stale.
@@ -75,24 +74,9 @@ def _read_repair_totals(cluster: Any) -> Dict[str, int]:
     return totals
 
 
-def _endpoints(cluster: Any):
-    for server in cluster.servers.values():
-        yield server.endpoint
-    for client in cluster.clients.values():
-        yield client.endpoint
-
-
 def _transport_totals(cluster: Any) -> Dict[str, int]:
     totals = {name: 0 for name in _TRANSPORT_FIELDS}
-    if hasattr(cluster, "transport"):
-        stats_objects = [cluster.transport.stats]
-    else:
-        # Asyncio backend: one endpoint per node; each message is counted
-        # once as sent (sender endpoint) and once as delivered (receiver
-        # endpoint), so the sum is the cluster total, like the simulator's
-        # single shared transport.
-        stats_objects = [endpoint.stats for endpoint in _endpoints(cluster)]
-    for stats in stats_objects:
+    for stats in cluster.transport_stats():
         for name in _TRANSPORT_FIELDS:
             totals[name] += getattr(stats, name)
     totals["sync_bytes"] = cluster.sync_bytes()

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError
-from ..kvstore.simulated import SimulatedClient, SimulatedCluster
+from ..kvstore.host import HostedClient
+from ..kvstore.simulated import SimulatedCluster
 from .generator import zipf_weights
 
 
@@ -98,7 +99,7 @@ class ClosedLoopClient:
                  config: ClosedLoopConfig,
                  seed: Optional[int] = None) -> None:
         self.cluster = cluster
-        self.client: SimulatedClient = cluster.client(client_id)
+        self.client: HostedClient = cluster.client(client_id)
         self.config = config
         self._rng = random.Random(seed if seed is not None
                                   else _stable_seed(client_id))

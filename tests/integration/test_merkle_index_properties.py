@@ -42,8 +42,8 @@ def assert_index_matches_rebuild(cluster: SimulatedCluster, context: str = "") -
         index = server.node.merkle_index
         assert index is not None, f"{server_id} lost its Merkle index ({context})"
         rebuilt = MerkleTree.for_node(server.node,
-                                      fanout=cluster.merkle_fanout,
-                                      depth=cluster.merkle_depth)
+                                      fanout=cluster.env.merkle_fanout,
+                                      depth=cluster.env.merkle_depth)
         assert index.root_digest == rebuilt.root_digest, (
             f"{server_id}: incremental root diverged from rebuild ({context}); "
             f"index keys={index.keys()} storage keys={server.node.storage.keys()}"

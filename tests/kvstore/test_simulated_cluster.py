@@ -356,7 +356,7 @@ class TestBatchedReadRepair:
             client.get(key)   # R=3 reads notice n3's stale copies
         cluster.drain()
         messages = cluster.transport.stats.per_type.get("read_repair", 0) - before
-        coordinator = cluster.servers["n1"]
+        coordinator = cluster.servers["n1"].protocol.coordinator
         repaired = coordinator.read_repair_stats.replicas_repaired
         assert repaired >= len(stale_keys)
         # Coalescing is the point: strictly fewer messages than repaired
@@ -395,7 +395,7 @@ class TestBatchedReadRepair:
 
     def test_full_batch_flushes_without_waiting(self):
         cluster, client, stale_keys = self.stale_replica_setup()
-        cluster.sync_batch_size = 1   # every queued repair is a full batch
+        cluster.env.sync_batch_size = 1   # every queued repair is a full batch
         before = cluster.transport.stats.per_type.get("read_repair", 0)
         for key in stale_keys:
             client.get(key)
@@ -417,13 +417,13 @@ class TestBatchedReadRepair:
         # hops) and the repairs to queue, but not for the 2ms coalescing
         # window that starts at reply time to close.
         cluster.run(until=cluster.simulation.now + 3.5)
-        coordinator = cluster.servers["n1"]
-        assert coordinator._repair_queue, "setup: repairs should be queued"
+        coordinator = cluster.servers["n1"].protocol.coordinator
+        assert coordinator.repair_queue, "setup: repairs should be queued"
         before = cluster.transport.stats.per_type.get("read_repair", 0)
         cluster.fail_node("n1")
         cluster.run(until=cluster.simulation.now + 20.0)
         assert cluster.transport.stats.per_type.get("read_repair", 0) == before
-        assert not coordinator._repair_queue
+        assert not coordinator.repair_queue
         cluster.recover_node("n1", wipe=True)
         cluster.drain()
         assert cluster.transport.stats.per_type.get("read_repair", 0) == before
@@ -450,22 +450,22 @@ class TestAdaptiveDeadlines:
 
     def test_deadline_tracks_ewma_within_floor_and_ceiling(self):
         cluster = self.build_adaptive(deadline_floor_ms=2.0)
-        server = next(iter(cluster.servers.values()))
+        node = next(iter(cluster.servers.values())).protocol
         # never observed: fall back to the fixed timeout
-        assert server._replica_deadline_ms("peer") == cluster.replica_timeout_ms
-        server._ack_latency_ewma["peer"] = 1.0
-        assert server._replica_deadline_ms("peer") == pytest.approx(3.0)  # 3x EWMA
-        server._ack_latency_ewma["peer"] = 0.1
-        assert server._replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
-        server._ack_latency_ewma["peer"] = 100.0
-        assert server._replica_deadline_ms("peer") == pytest.approx(
-            cluster.deadline_ceiling_ms)                                  # ceiling
+        assert node.coordinator.replica_deadline_ms("peer") == cluster.env.replica_timeout_ms
+        node.latency.ewma["peer"] = 1.0
+        assert node.coordinator.replica_deadline_ms("peer") == pytest.approx(3.0)  # 3x EWMA
+        node.latency.ewma["peer"] = 0.1
+        assert node.coordinator.replica_deadline_ms("peer") == pytest.approx(2.0)  # floor
+        node.latency.ewma["peer"] = 100.0
+        assert node.coordinator.replica_deadline_ms("peer") == pytest.approx(
+            cluster.env.deadline_ceiling_ms)                                # ceiling
 
     def test_fixed_mode_ignores_observations(self):
         cluster = self.build_adaptive(deadline_mode="fixed")
-        server = next(iter(cluster.servers.values()))
-        server._ack_latency_ewma["peer"] = 1.0
-        assert server._replica_deadline_ms("peer") == cluster.replica_timeout_ms
+        node = next(iter(cluster.servers.values())).protocol
+        node.latency.ewma["peer"] = 1.0
+        assert node.coordinator.replica_deadline_ms("peer") == cluster.env.replica_timeout_ms
 
     def test_acks_feed_the_ewma(self):
         cluster = self.build_adaptive()
@@ -473,9 +473,9 @@ class TestAdaptiveDeadlines:
         for i in range(6):
             client.put("k", f"v{i}")
             cluster.run(until=cluster.simulation.now + 40.0)
-        observed = [server._ack_latency_ewma
+        observed = [server.protocol.latency.ewma
                     for server in cluster.servers.values()
-                    if server._ack_latency_ewma]
+                    if server.protocol.latency.ewma]
         assert observed, "coordinators should have recorded ack latencies"
         for ewma_map in observed:
             for latency in ewma_map.values():

@@ -22,7 +22,8 @@ import os
 from repro.clocks import create
 from repro.cluster import QuorumConfig
 from repro.kvstore import SimulatedCluster
-from repro.kvstore.asyncio_cluster import AsyncioCluster, AsyncServerNode
+from repro.kvstore.asyncio_cluster import AsyncioCluster
+from repro.kvstore.host import HostedServer
 from repro.obs import InMemoryTraceSink, Tracer, format_span_tree
 
 SERVER_IDS = ("A", "B", "C", "D")
@@ -130,7 +131,9 @@ def test_sloppy_quorum_write_span_tree_asyncio():
 
             # take the primary down (and clear its stale socket file so a
             # replacement can bind the same address later)
-            await cluster.servers[down].close()
+            crashed = cluster.servers[down]
+            crashed.runner.cancel_all()
+            await crashed.transport.close()
             socket_path = cluster.address_book[down][1]
             with contextlib.suppress(OSError):
                 os.unlink(socket_path)
@@ -148,10 +151,9 @@ def test_sloppy_quorum_write_span_tree_asyncio():
                 await asyncio.sleep(0.01)
 
             # bring the node back as a fresh listener on the same address
-            server = AsyncServerNode(down, cluster.mechanism, cluster.env,
-                                     cluster.address_book,
-                                     merkle_maintenance=cluster.merkle_maintenance)
-            await server.start()
+            server = HostedServer(down, cluster.env, cluster._transport_for,
+                                  cluster.merkle_maintenance)
+            await server.transport.start()
             cluster.servers[down] = server
 
             deadline = loop.time() + 10.0
@@ -171,7 +173,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
 def test_tracing_is_off_by_default():
     """An untraced cluster must not grow any tracer state or emit events."""
     cluster = SimulatedCluster(create("dvv"), server_ids=("A", "B", "C"))
-    assert cluster.tracer.enabled is False
+    assert cluster.env.tracer.enabled is False
     client = cluster.client("c1")
     client.put("k", "v")
     cluster.run(until=50.0)

@@ -87,6 +87,14 @@ class TestClusterCommand:
                      "--duration-ms", "100", "--anti-entropy", "full"]) == 0
         assert "requests completed" in capsys.readouterr().out
 
+    def test_full_strategy_rejected_on_asyncio_backend(self, capsys):
+        assert main(["cluster", "--backend", "asyncio", "--mechanism", "dvv",
+                     "--clients", "2", "--duration-ms", "100",
+                     "--anti-entropy", "full"]) == 2
+        captured = capsys.readouterr()
+        assert "--anti-entropy full" in captured.err
+        assert "requests completed" not in captured.out
+
     def test_async_request_mode_run(self, capsys):
         assert main(["cluster", "--mechanism", "dvv", "--clients", "2",
                      "--duration-ms", "120", "--request-mode", "async",
