@@ -1,13 +1,13 @@
-"""Ablation — naive vs Merkle-tree anti-entropy.
+"""Ablation — full-state vs Merkle-delta anti-entropy.
 
 Not a figure in the paper, but part of the substrate its evaluation runs on:
 Riak converges replicas with hashtree exchange rather than shipping every key
-every round.  This benchmark quantifies what the Merkle tree buys on this
-substrate (keys transferred per convergence on the synchronous store, and
-bytes of sync traffic on the simulated message-passing cluster) and confirms
-that the choice of anti-entropy strategy does not change any causal outcome —
-both strategies converge to identical sibling sets, only the transfer volume
-differs.
+every round.  This benchmark quantifies what the per-vnode Merkle-delta
+exchange buys on the simulated message-passing cluster (bytes of sync
+traffic against the full-state baseline, hash-tree work per convergence and
+per handoff) and confirms that the choice of anti-entropy strategy does not
+change any causal outcome — both strategies converge to identical sibling
+sets, only the transfer volume differs.
 
 Besides the pytest benchmarks, the module runs standalone as a smoke check
 for CI::
@@ -33,125 +33,15 @@ import pytest
 
 from repro.analysis import render_table
 from repro.clocks import create
-from repro.kvstore import AntiEntropyScheduler, ClientSession, MerkleAntiEntropy, SimulatedCluster, SyncReplicatedStore
+from repro.kvstore import SimulatedCluster
 from repro.network import FixedLatency
-from repro.workloads import (
-    WorkloadConfig,
-    generate_workload,
-    replay_trace,
-    run_sloppy_partition_scenario,
-)
-
-KEY_COUNTS = [10, 50, 200]
-DIVERGENT_FRACTION = 0.1
-
-
-def build_diverged_store(keys: int, seed: int = 5):
-    """A store where replicas agree on most keys and diverge on a few."""
-    store = SyncReplicatedStore(create("dvv"), server_ids=("A", "B", "C"))
-    writer = ClientSession("writer")
-    for index in range(keys):
-        key = f"key-{index}"
-        writer.get(store, key, server_id="A")
-        writer.put(store, key, f"value-{index}", server_id="A")
-    store.converge()
-    # now diverge a fraction of the keys with fresh writes at A only
-    late = ClientSession("late-writer")
-    divergent = max(1, int(keys * DIVERGENT_FRACTION))
-    for index in range(divergent):
-        key = f"key-{index * (keys // divergent)}"
-        late.get(store, key, server_id="A")
-        late.put(store, key, f"late-{index}", server_id="A")
-    return store, divergent
-
-
-def naive_transfer_volume(keys: int) -> int:
-    """Keys shipped by the all-keys scheduler until convergence."""
-    store, _ = build_diverged_store(keys)
-    scheduler = AntiEntropyScheduler(store)
-    transferred = 0
-    while not store.is_converged():
-        source_id, target_id = scheduler.run_round()
-        transferred += len(set(store.node(source_id).storage.keys())
-                           | set(store.node(target_id).storage.keys()))
-    return transferred
-
-
-def merkle_transfer_volume(keys: int) -> int:
-    """Keys shipped by the Merkle scheduler until convergence."""
-    store, _ = build_diverged_store(keys)
-    anti_entropy = MerkleAntiEntropy(store)
-    anti_entropy.run_until_converged()
-    return anti_entropy.keys_synced
-
-
-@pytest.fixture(scope="module")
-def transfer_sweep():
-    return {
-        keys: {"naive": naive_transfer_volume(keys), "merkle": merkle_transfer_volume(keys)}
-        for keys in KEY_COUNTS
-    }
-
-
-def test_report_anti_entropy_savings(transfer_sweep, publish):
-    rows = []
-    for keys in KEY_COUNTS:
-        naive = transfer_sweep[keys]["naive"]
-        merkle = transfer_sweep[keys]["merkle"]
-        rows.append([keys, naive, merkle, round(naive / max(merkle, 1), 1)])
-    table = render_table(
-        ["keys", "naive keys transferred", "merkle keys transferred", "savings factor"],
-        rows,
-        title="Ablation — anti-entropy transfer volume until convergence (10% keys divergent)",
-    )
-    publish("ablation_anti_entropy", table)
-    for keys in KEY_COUNTS:
-        assert transfer_sweep[keys]["merkle"] <= transfer_sweep[keys]["naive"]
-    assert transfer_sweep[KEY_COUNTS[-1]]["merkle"] < transfer_sweep[KEY_COUNTS[-1]]["naive"] / 2
-
-
-def test_both_strategies_reach_identical_states():
-    naive_store, _ = build_diverged_store(40)
-    merkle_store, _ = build_diverged_store(40)
-    AntiEntropyScheduler(naive_store).run_until_converged()
-    MerkleAntiEntropy(merkle_store).run_until_converged()
-    for key in naive_store.write_log.keys():
-        naive_values = sorted(map(str, naive_store.values(key, "A")))
-        merkle_values = sorted(map(str, merkle_store.values(key, "A")))
-        assert naive_values == merkle_values
-
-
-@pytest.mark.parametrize("strategy", ["naive", "merkle"])
-def test_benchmark_anti_entropy(benchmark, strategy):
-    def run():
-        if strategy == "naive":
-            return naive_transfer_volume(50)
-        return merkle_transfer_volume(50)
-
-    transferred = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert transferred > 0
-
-
-@pytest.mark.parametrize("mechanism_name", ["dvv", "dvvset"])
-def test_benchmark_workload_with_merkle_convergence(benchmark, mechanism_name):
-    """End-to-end replay + Merkle convergence, per mechanism."""
-    trace = generate_workload(WorkloadConfig(clients=12, keys=6, operations=120, seed=17,
-                                             sync_every=None, final_sync=False))
-
-    def run():
-        replay = replay_trace(trace, create(mechanism_name))
-        MerkleAntiEntropy(replay.store).run_until_converged()
-        return replay
-
-    replay = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert replay.store.is_converged()
+from repro.workloads import run_sloppy_partition_scenario
 
 
 # --------------------------------------------------------------------------- #
 # Message-passing cluster: full-state vs Merkle-delta sync traffic (bytes)
 # --------------------------------------------------------------------------- #
-def build_diverged_cluster(keys: int, strategy: str = "merkle",
-                           maintenance: str = "incremental", seed: int = 9):
+def build_diverged_cluster(keys: int, strategy: str = "merkle", seed: int = 9):
     """A mostly-synced simulated cluster, ready for one convergence.
 
     Builds a 3-server cluster, fully converges it, diverges ~10% of the keys
@@ -164,7 +54,6 @@ def build_diverged_cluster(keys: int, strategy: str = "merkle",
         anti_entropy_interval_ms=None,
         hint_replay_interval_ms=None,
         anti_entropy_strategy=strategy,
-        merkle_maintenance=maintenance,
         seed=seed,
     )
     client = cluster.client("writer")
@@ -198,11 +87,9 @@ def cluster_sync_bytes(keys: int, strategy: str, seed: int = 9):
 
 
 # --------------------------------------------------------------------------- #
-# Hash-tree maintenance: incremental index vs per-exchange rebuilds
+# Hash-tree maintenance: the write-maintained index's work per convergence
 # --------------------------------------------------------------------------- #
 TREE_WORK_STATS = ("keys_hashed", "buckets_rehashed", "full_rebuilds")
-
-MAINTENANCE_MODES = ("rebuild", "incremental")
 
 
 def tree_work_totals(cluster) -> dict:
@@ -211,17 +98,16 @@ def tree_work_totals(cluster) -> dict:
     return {name: totals.get(name, 0) for name in TREE_WORK_STATS}
 
 
-def cluster_tree_work(keys: int, maintenance: str, seed: int = 9):
+def cluster_tree_work(keys: int, seed: int = 9):
     """Hash-tree work (key fingerprints hashed, buckets re-hashed, full
-    rebuilds) one convergence costs under a maintenance mode.
+    rebuilds) one convergence costs.
 
-    With ``"rebuild"`` every exchange re-fingerprints the whole key space on
-    both sides — O(total keys) per exchange.  With ``"incremental"`` the
-    write-maintained index only re-hashes what the convergence merges
-    actually dirtied — O(divergent buckets) — which is the scaling the
-    incremental-index subsystem exists to provide.
+    The write-maintained index only re-hashes what the convergence merges
+    actually dirtied — O(divergent buckets), never a rebuild of the key
+    space — which is the scaling the incremental-index subsystem exists to
+    provide.
     """
-    cluster = build_diverged_cluster(keys, maintenance=maintenance, seed=seed)
+    cluster = build_diverged_cluster(keys, seed=seed)
     before = tree_work_totals(cluster)
     rounds = cluster.converge()
     after = tree_work_totals(cluster)
@@ -298,49 +184,25 @@ def test_report_cluster_sync_bytes(cluster_byte_sweep, publish):
         assert cluster_byte_sweep[keys]["merkle"] < cluster_byte_sweep[keys]["full"]
 
 
-@pytest.fixture(scope="module")
-def tree_work_sweep():
-    return {
-        keys: {mode: cluster_tree_work(keys, mode)[0]
-               for mode in MAINTENANCE_MODES}
-        for keys in CLUSTER_KEY_COUNTS
-    }
-
-
-def test_report_tree_maintenance_cost(tree_work_sweep, publish):
-    """Build-cost series: hash-tree work per convergence, rebuild vs index."""
-    rows = []
-    for keys in CLUSTER_KEY_COUNTS:
-        rebuild = tree_work_sweep[keys]["rebuild"]
-        incremental = tree_work_sweep[keys]["incremental"]
-        rows.append([
-            keys,
-            rebuild["keys_hashed"], rebuild["full_rebuilds"],
-            incremental["keys_hashed"], incremental["buckets_rehashed"],
-            round(rebuild["keys_hashed"] / max(incremental["keys_hashed"], 1), 1),
-        ])
+def test_report_tree_maintenance_cost(publish):
+    """Build-cost series: hash-tree work per convergence."""
+    sweep = {keys: cluster_tree_work(keys)[0] for keys in CLUSTER_KEY_COUNTS}
     table = render_table(
-        ["keys", "rebuild: keys hashed", "rebuild: tree builds",
-         "incremental: keys hashed", "incremental: buckets rehashed",
-         "savings factor"],
-        rows,
+        ["keys", "keys hashed", "buckets rehashed", "full rebuilds"],
+        [[keys, work["keys_hashed"], work["buckets_rehashed"],
+          work["full_rebuilds"]]
+         for keys, work in sweep.items()],
         title="Simulated cluster — hash-tree work until convergence (10% keys divergent)",
     )
     publish("cluster_tree_maintenance", table)
-    for keys in CLUSTER_KEY_COUNTS:
-        rebuild = tree_work_sweep[keys]["rebuild"]
-        incremental = tree_work_sweep[keys]["incremental"]
+    for keys, work in sweep.items():
         # The subsystem's contract: exchange-time tree work scales with the
-        # divergence, not the key space, so the incremental index must hash
-        # strictly fewer key fingerprints — and never rebuild — while the
-        # rebuild mode pays O(keys) per exchange.
-        assert incremental["keys_hashed"] < rebuild["keys_hashed"]
-        assert incremental["full_rebuilds"] == 0
-        assert rebuild["full_rebuilds"] >= 2   # both sides of >= 1 exchange
-        # Divergence-proportional, not keyspace-proportional: with ~10% of
-        # keys diverged, converging must re-fingerprint fewer keys than the
-        # store holds, while a single rebuild already hashes all of them.
-        assert incremental["keys_hashed"] < keys
+        # divergence, not the key space.  With ~10% of keys diverged,
+        # converging must re-fingerprint fewer keys than the store holds
+        # (one from-scratch tree build would hash all of them) and never
+        # rebuild a tree.
+        assert work["keys_hashed"] < keys
+        assert work["full_rebuilds"] == 0
 
 
 def test_report_per_range_exchange(publish):
@@ -377,16 +239,6 @@ def test_report_handoff_tree_work(publish):
         assert stats["fingerprints_imported"] >= stats["keys_moved"]
         # O(1), not O(keys moved): the receiver adopts maintained digests
         assert stats["keys_hashed"] == 0
-
-
-def test_maintenance_modes_reach_identical_states():
-    _, _, rebuild_cluster = cluster_tree_work(40, "rebuild")
-    _, _, incremental_cluster = cluster_tree_work(40, "incremental")
-    assert rebuild_cluster.is_converged() and incremental_cluster.is_converged()
-    for key in rebuild_cluster.key_universe():
-        rebuilt = sorted(map(repr, rebuild_cluster.servers["A"].node.values_of(key)))
-        indexed = sorted(map(repr, incremental_cluster.servers["A"].node.values_of(key)))
-        assert rebuilt == indexed
 
 
 def test_cluster_strategies_reach_identical_states():
@@ -459,13 +311,14 @@ def run_smoke(keys: int = 60,
 
     Four checks: (1) merkle-delta anti-entropy must transfer fewer bytes
     than the full-state exchange; (2) on a large keyspace, the incremental
-    Merkle index must do less hash-tree work per convergence than rebuilding
-    the trees per exchange; (3) a whole-vnode join handoff must import the
-    sender's maintained fingerprints instead of re-hashing the moved states
-    (O(1) fresh fingerprints, not O(keys moved)); (4) under a partition, the
-    async request mode's sloppy quorums must complete writes that strict
-    quorums fail, and still converge after healing.  The measured numbers are
-    written to ``results_path`` as JSON for CI artifacts.
+    Merkle index must hash fewer key fingerprints per convergence than the
+    keyspace holds, and rebuild no tree; (3) a whole-vnode join handoff must
+    import the sender's maintained fingerprints instead of re-hashing the
+    moved states (O(1) fresh fingerprints, not O(keys moved)); (4) under a
+    partition, the async request mode's sloppy quorums must complete writes
+    that strict quorums fail, and still converge after healing.  The
+    measured numbers are written to ``results_path`` as JSON for CI
+    artifacts.
     """
     results: dict = {"keys": keys}
     full_bytes, full_rounds, _ = cluster_sync_bytes(keys, "full")
@@ -489,38 +342,31 @@ def run_smoke(keys: int = 60,
                              "merkle_rounds": merkle_rounds}
     results["per_range_exchange"] = per_range_exchange_stats(keys)
 
-    # Incremental hash-tree maintenance: a large keyspace so the O(keys)
-    # rebuild cost is unmistakable against the O(divergence) index cost.
+    # Incremental hash-tree maintenance: a large keyspace so O(divergence)
+    # index work is unmistakable against the O(keys) of one tree build.
     tree_keys = max(keys, 200)
-    work = {mode: cluster_tree_work(tree_keys, mode) for mode in MAINTENANCE_MODES}
+    work, work_rounds, work_cluster = cluster_tree_work(tree_keys)
     print(render_table(
-        ["maintenance", "keys hashed", "buckets rehashed", "full rebuilds", "rounds"],
-        [[mode, delta["keys_hashed"], delta["buckets_rehashed"],
-          delta["full_rebuilds"], rounds]
-         for mode, (delta, rounds, _cluster) in work.items()],
+        ["keys hashed", "buckets rehashed", "full rebuilds", "rounds"],
+        [[work["keys_hashed"], work["buckets_rehashed"], work["full_rebuilds"],
+          work_rounds]],
         title=f"Hash-tree maintenance smoke ({tree_keys} keys, 10% divergent)",
     ))
-    for mode, (_delta, _rounds, cluster) in work.items():
-        if not cluster.is_converged():
-            print(f"FAIL: {mode} maintenance did not converge", file=sys.stderr)
-            return 1
-    rebuild_hashed = work["rebuild"][0]["keys_hashed"]
-    incremental_hashed = work["incremental"][0]["keys_hashed"]
-    if incremental_hashed >= rebuild_hashed:
-        print("FAIL: incremental Merkle maintenance no longer beats full "
-              f"rebuilds on tree work per exchange ({incremental_hashed} >= "
-              f"{rebuild_hashed} key fingerprints hashed)", file=sys.stderr)
+    if not work_cluster.is_converged():
+        print("FAIL: the tree-work cluster did not converge", file=sys.stderr)
         return 1
-    if work["incremental"][0]["full_rebuilds"] != 0:
+    if work["keys_hashed"] >= tree_keys:
+        print("FAIL: incremental Merkle maintenance hashes as many key "
+              f"fingerprints per convergence as the keyspace holds "
+              f"({work['keys_hashed']} >= {tree_keys})", file=sys.stderr)
+        return 1
+    if work["full_rebuilds"] != 0:
         print("FAIL: incremental maintenance fell back to full tree rebuilds "
-              f"({work['incremental'][0]['full_rebuilds']} during convergence)",
-              file=sys.stderr)
+              f"({work['full_rebuilds']} during convergence)", file=sys.stderr)
         return 1
-    print(f"OK: incremental index hashed {incremental_hashed} key fingerprints "
-          f"vs {rebuild_hashed} for per-exchange rebuilds "
-          f"({rebuild_hashed / max(incremental_hashed, 1):.1f}x less tree work)")
-    results["tree_work"] = {mode: dict(delta, rounds=rounds)
-                            for mode, (delta, rounds, _c) in work.items()}
+    print(f"OK: incremental index hashed {work['keys_hashed']} key fingerprints "
+          f"for a {tree_keys}-key convergence, with no tree rebuilds")
+    results["tree_work"] = {"incremental": dict(work, rounds=work_rounds)}
 
     # Whole-vnode handoff: the moved keys' digests must travel with them.
     handoff = handoff_tree_work(keys)

@@ -18,15 +18,13 @@ metrics — for both the simulator and
 real TCP/Unix-domain sockets for wall-clock benchmarking.
 """
 
-from .anti_entropy import AntiEntropyDaemon, AntiEntropyScheduler, HintedHandoffDaemon
+from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .asyncio_cluster import AsyncClusterClient, AsyncioCluster
 from .client import ClientSession, GetResult, PutResult
 from .context import CausalContext
 from .host import ClusterHost, HostedClient, HostedServer
 from .merkle import (
-    MERKLE_MAINTENANCE_MODES,
     DiffStats,
-    MerkleAntiEntropy,
     MerkleTree,
     bucket_path,
     diff_keys,
@@ -57,10 +55,8 @@ from .write_log import WriteLog, WriteRecord
 
 __all__ = [
     "DEADLINE_MODES",
-    "MERKLE_MAINTENANCE_MODES",
     "REQUEST_MODES",
     "AntiEntropyDaemon",
-    "AntiEntropyScheduler",
     "AsyncClusterClient",
     "AsyncioCluster",
     "CallbackResolver",
@@ -74,7 +70,6 @@ __all__ = [
     "HostedClient",
     "HostedServer",
     "LastWriterWins",
-    "MerkleAntiEntropy",
     "MerkleIndex",
     "MerkleSyncStats",
     "MerkleTree",

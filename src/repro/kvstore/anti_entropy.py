@@ -3,28 +3,30 @@
 Dynamo-style stores converge replicas in two ways: read repair (on the read
 path, see :mod:`repro.kvstore.read_repair`) and a background anti-entropy
 process that periodically exchanges state between replica pairs — the dotted
-"server sync" arrows in the paper's Figure 1.  This module provides both the
-direct form used with the synchronous store and the
+"server sync" arrows in the paper's Figure 1.  This module provides the
 :class:`~repro.network.simulator.PeriodicTask`-driven daemons the
 message-passing clusters run (the simulator schedules them on its
 :class:`~repro.network.simulator.Simulation`, the asyncio backend on
-``loop.call_later``).
+``loop.call_later``).  The synchronous store has no scheduler: it converges
+through its own :meth:`~repro.kvstore.sync_store.SyncReplicatedStore.sync_key`
+/ ``sync_all`` / ``converge``.
 
 Two sync strategies exist on the simulated cluster (selected by
 ``SimulatedCluster(anti_entropy_strategy=...)``):
 
-* ``"full"`` — the original exchange: the source ships the state of every key
-  it holds in one ``SYNC_REQUEST`` and the target replies in kind.  Bytes on
-  the wire are proportional to the *store size* regardless of divergence.
-* ``"merkle"`` (default) — the Merkle-delta protocol: the source ships tree
-  digests level by level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``),
-  the pair descend only into subtrees whose digests differ, and finally
+* ``"merkle"`` (default) — the per-vnode Merkle-delta protocol: the pair
+  compare per-range root digests (``MERKLE_PARTITION_DIGESTS`` /
+  ``MERKLE_PARTITION_DIFF``), descend only the differing ranges' trees level
+  by level (``MERKLE_SYNC_REQUEST`` / ``MERKLE_SYNC_RESPONSE``), and finally
   exchange states only for the diverged keys, batched into
   ``MERKLE_KEY_STATES`` messages.  Bytes on the wire are proportional to the
   *divergence*, which is what lets the DVV/DVVSet metadata advantage show up
   in sync traffic.  The message handlers live in
   :mod:`repro.kvstore.protocol.anti_entropy`; the tree itself in
   :mod:`repro.kvstore.merkle`.
+* ``"full"`` — the measured baseline: the source ships the state of every
+  key it holds in one ``SYNC_REQUEST`` and the target replies in kind.  Bytes
+  on the wire are proportional to the *store size* regardless of divergence.
 
 The :class:`AntiEntropyDaemon` below schedules replica pairs for either
 strategy and tracks membership churn (joins, departures, crashes), skipping
@@ -38,57 +40,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..network.simulator import PeriodicTask, Simulation
-from .sync_store import SyncReplicatedStore
-
-
-class AntiEntropyScheduler:
-    """Round-robin pair scheduling for synchronous stores.
-
-    Each call to :meth:`run_round` synchronises every key between one pair of
-    replicas, cycling deterministically through all pairs so that repeated
-    rounds converge the whole cluster without requiring all-pairs exchanges
-    every time (which would hide the cost differences between mechanisms).
-    """
-
-    def __init__(self, store: SyncReplicatedStore) -> None:
-        self.store = store
-        self._pair_index = 0
-        self.rounds_run = 0
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        servers = sorted(self.store.servers)
-        return [
-            (servers[i], servers[j])
-            for i in range(len(servers))
-            for j in range(i + 1, len(servers))
-        ]
-
-    def run_round(self, key: Optional[str] = None) -> Tuple[str, str]:
-        """Synchronise one replica pair (all keys, or one key); returns the pair."""
-        pairs = self._pairs()
-        if not pairs:
-            raise ConfigurationError("anti-entropy needs at least two servers")
-        source_id, target_id = pairs[self._pair_index % len(pairs)]
-        self._pair_index += 1
-        self.rounds_run += 1
-        keys = [key] if key is not None else self._keys_of(source_id, target_id)
-        for key_to_sync in keys:
-            self.store.sync_key(key_to_sync, source_id, target_id, bidirectional=True)
-        return source_id, target_id
-
-    def run_until_converged(self, max_rounds: int = 100) -> int:
-        """Run rounds until the store converges; returns the number of rounds."""
-        for round_number in range(1, max_rounds + 1):
-            self.run_round()
-            if self.store.is_converged():
-                return round_number
-        raise ConfigurationError(f"store did not converge within {max_rounds} rounds")
-
-    def _keys_of(self, *server_ids: str) -> List[str]:
-        keys = set()
-        for server_id in server_ids:
-            keys.update(self.store.node(server_id).storage.keys())
-        return sorted(keys)
 
 
 class AntiEntropyDaemon:

@@ -151,7 +151,6 @@ class AsyncioCluster(ClusterHost):
                  sync_batch_size: int = 16,
                  merkle_fanout: int = 16,
                  merkle_depth: int = 2,
-                 merkle_maintenance: str = "incremental",
                  read_repair_batch_ms: float = 2.0,
                  virtual_nodes: int = 32,
                  partition_count: int = DEFAULT_PARTITION_COUNT,
@@ -191,7 +190,6 @@ class AsyncioCluster(ClusterHost):
             sync_batch_size=sync_batch_size,
             merkle_fanout=merkle_fanout,
             merkle_depth=merkle_depth,
-            merkle_maintenance=merkle_maintenance,
             read_repair_batch_ms=read_repair_batch_ms,
             deadline_mode=deadline_mode,
             deadline_floor_ms=replica_timeout_ms / 5.0,

@@ -40,8 +40,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NO_TRACER
 from .anti_entropy import AntiEntropyDaemon, HintedHandoffDaemon
 from .client import GetResult, PutResult
-from .merkle import MERKLE_MAINTENANCE_MODES, key_fingerprint
-from .merkle_index import VnodeIndexSet
+from .merkle import key_fingerprint
 from .protocol import (
     DEADLINE_MODES,
     REQUEST_MODES,
@@ -66,27 +65,16 @@ TransportFactory = Callable[[str, Callable[[Message], None]], Any]
 class HostedServer:
     """One storage server: a :class:`ProtocolNode` and its effect runner.
 
-    The node owns the durable :class:`StorageNode` (plus, in incremental
-    mode, its write-maintained per-vnode Merkle index); the runner executes
+    The node owns the durable :class:`StorageNode` (plus its
+    write-maintained per-vnode Merkle index); the runner executes
     the effects the machines emit against the backend's transport, whose
     clock is the ``now`` every entry point is handed.
     """
 
     def __init__(self, node_id: str, env: StaticProtocolEnv,
-                 transport_for: TransportFactory,
-                 merkle_maintenance: str) -> None:
+                 transport_for: TransportFactory) -> None:
         self.node_id = node_id
         self.protocol = ProtocolNode(node_id, env.mechanism, env)
-        if merkle_maintenance == "incremental":
-            # One hash tree per vnode range, updated in place by every
-            # storage mutation, so exchanges snapshot instead of rebuilding.
-            self.node.attach_merkle_index(VnodeIndexSet(
-                env.mechanism,
-                partition_map=env.placement.partition_map,
-                fanout=env.merkle_fanout,
-                depth=env.merkle_depth,
-                counters=self.node.stats,
-            ))
         self.transport = transport_for(node_id, self.handle_message)
         self.runner = EffectRunner(self.transport, self.protocol.on_timer)
 
@@ -192,7 +180,6 @@ class ClusterHost:
                  anti_entropy_interval_ms: Optional[float],
                  anti_entropy_strategy: str,
                  hint_replay_interval_ms: Optional[float],
-                 merkle_maintenance: str,
                  virtual_nodes: int,
                  partition_count: int,
                  topology: Optional[Topology],
@@ -224,7 +211,6 @@ class ClusterHost:
         self.write_log = WriteLog()
         self.merkle_stats = MerkleSyncStats()
         self.anti_entropy_strategy = anti_entropy_strategy
-        self.merkle_maintenance = merkle_maintenance
         #: The configuration every hosted machine reads.  Its oracles keep
         #: their permissive defaults unless a backend has a failure detector.
         self.env = StaticProtocolEnv(
@@ -259,8 +245,6 @@ class ClusterHost:
                 ("anti-entropy strategy", self.anti_entropy_strategy,
                  ANTI_ENTROPY_STRATEGIES),
                 ("request mode", env.request_mode, REQUEST_MODES),
-                ("merkle maintenance mode", self.merkle_maintenance,
-                 MERKLE_MAINTENANCE_MODES),
                 ("deadline mode", env.deadline_mode, DEADLINE_MODES)):
             if value not in choices:
                 raise ConfigurationError(
@@ -300,8 +284,7 @@ class ClusterHost:
     # Shells
     # ------------------------------------------------------------------ #
     def _add_server(self, server_id: str) -> HostedServer:
-        server = HostedServer(server_id, self.env, self._transport_for,
-                              self.merkle_maintenance)
+        server = HostedServer(server_id, self.env, self._transport_for)
         self.servers[server_id] = server
         return server
 
@@ -341,13 +324,12 @@ class ClusterHost:
         if self.hinted_handoff is not None:
             self.hinted_handoff.stop()
 
-    def start_exchange(self, source_id: str, target_id: str,
-                       strategy: Optional[str] = None) -> None:
+    def start_exchange(self, source_id: str, target_id: str) -> None:
         """Start one anti-entropy exchange using the configured strategy."""
         source = self.servers.get(source_id)
         if source is None:
             return
-        if (strategy or self.anti_entropy_strategy) == "full":
+        if self.anti_entropy_strategy == "full":
             source.start_sync_with(target_id)
         else:
             source.start_merkle_sync_with(target_id)

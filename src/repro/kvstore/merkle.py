@@ -1,12 +1,13 @@
-"""Merkle-tree assisted anti-entropy (Riak/Dynamo "hashtree exchange").
+"""Merkle trees for anti-entropy (Riak/Dynamo "hashtree exchange").
 
-Exchanging the full state of every key on every anti-entropy round (as the
-basic :class:`~repro.kvstore.anti_entropy.AntiEntropyScheduler` does) is
-simple but wasteful: most keys agree most of the time.  Production systems —
+Exchanging the full state of every key on every anti-entropy round is simple
+but wasteful: most keys agree most of the time.  Production systems —
 including the Riak deployment the paper's evaluation modified — summarise each
 replica's key space in a Merkle tree and exchange only the hashes, descending
 into subtrees whose hashes differ and finally transferring only the keys that
-actually diverge.
+actually diverge.  The cluster's exchange is the per-vnode Merkle-delta
+protocol in :mod:`repro.kvstore.protocol.anti_entropy`, over trees the
+write-maintained :mod:`repro.kvstore.merkle_index` keeps current.
 
 This module provides:
 
@@ -19,22 +20,19 @@ This module provides:
   two replicas agree on a key's fingerprint exactly when they store the same
   sibling set.
 * :func:`diff_keys` — the keys whose fingerprints differ between two trees
-  (descending only into differing buckets).
-* :class:`MerkleAntiEntropy` — a scheduler for the synchronous store that uses
-  the tree diff to synchronise only divergent keys, and records how much
-  transfer the tree saved (reported by the anti-entropy efficiency test).
+  (descending only into differing buckets), with :class:`DiffStats`
+  counting the work; the reference the exchange's tests compare against.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import codec
 from ..core.exceptions import ConfigurationError
 from .server import StorageNode
-from .sync_store import SyncReplicatedStore
 
 
 def _hash_bytes(payload: bytes) -> bytes:
@@ -231,126 +229,3 @@ def diff_keys(left: MerkleTree, right: MerkleTree,
 
     walk(())
     return divergent
-
-
-#: How replica hash trees are obtained for an exchange: incrementally
-#: maintained on every write (the default, Riak-style persistent hashtrees)
-#: or rebuilt from scratch per exchange (the pre-index behaviour, kept for
-#: the maintenance-cost ablation).
-MERKLE_MAINTENANCE_MODES = ("incremental", "rebuild")
-
-
-class MerkleAntiEntropy:
-    """Anti-entropy for the synchronous store driven by Merkle-tree diffs.
-
-    Each round picks the next replica pair (round-robin), obtains both trees,
-    and synchronises only the keys the diff reports.  Statistics accumulate
-    across rounds so tests and benchmarks can compare the transfer volume
-    against the naive all-keys exchange.
-
-    With ``maintenance="incremental"`` (the default) each replica carries a
-    write-maintained :class:`~repro.kvstore.merkle_index.MerkleIndex` (attached
-    here if the node does not have one yet) and a round takes cheap digest
-    snapshots; ``maintenance="rebuild"`` re-hashes the full key space per
-    round, the cost the index exists to remove.
-    """
-
-    def __init__(self, store: SyncReplicatedStore, fanout: int = 16, depth: int = 2,
-                 maintenance: str = "incremental") -> None:
-        if maintenance not in MERKLE_MAINTENANCE_MODES:
-            raise ConfigurationError(
-                f"unknown merkle maintenance mode {maintenance!r}; "
-                f"choose from {MERKLE_MAINTENANCE_MODES}"
-            )
-        self.store = store
-        self.fanout = fanout
-        self.depth = depth
-        self.maintenance = maintenance
-        self._pair_index = 0
-        self.rounds_run = 0
-        self.keys_synced = 0
-        self.keys_skipped = 0
-        self.diff_stats = DiffStats()
-        if maintenance == "incremental":
-            from .merkle_index import MerkleIndex  # circular-import guard
-            for node in self.store.servers.values():
-                index = node.merkle_index
-                if index is None or index.fanout != fanout or index.depth != depth:
-                    node.attach_merkle_index(
-                        MerkleIndex(node.mechanism, fanout=fanout, depth=depth,
-                                    counters=node.stats)
-                    )
-
-    def _pairs(self) -> List[Tuple[str, str]]:
-        servers = sorted(self.store.servers)
-        return [
-            (servers[i], servers[j])
-            for i in range(len(servers))
-            for j in range(i + 1, len(servers))
-        ]
-
-    def _universe(self, *nodes: StorageNode) -> Set[str]:
-        keys: Set[str] = set()
-        for node in nodes:
-            keys.update(node.storage.keys())
-        return keys
-
-    def _trees(self, source: StorageNode,
-               target: StorageNode) -> Tuple[MerkleTree, MerkleTree, int]:
-        """Both replicas' trees plus the key-universe size (for accounting).
-
-        A snapshot covers only the keys the replica holds while a rebuild
-        covers the shared universe (absent keys hash to the empty fingerprint);
-        both conventions localise exactly the same divergent keys as long as
-        the two sides use the same one.  Only the rebuild branch pays the
-        O(universe) sort + double re-hash; the incremental branch's cost is
-        the snapshots (dirty-bucket flush + digest copy).
-        """
-        if self.maintenance == "incremental":
-            left = source.merkle_index.snapshot()
-            right = target.merkle_index.snapshot()
-            total = len(set(left.keys()).union(right.keys()))
-            return left, right, total
-        universe = sorted(self._universe(source, target))
-        trees = []
-        for node in (source, target):
-            node.stats["full_rebuilds"] += 1
-            node.stats["keys_hashed"] += len(universe)
-            trees.append(MerkleTree.for_node(node, universe,
-                                             fanout=self.fanout, depth=self.depth))
-        return trees[0], trees[1], len(universe)
-
-    def run_round(self) -> Tuple[str, str, List[str]]:
-        """Synchronise one replica pair; returns the pair and the keys transferred."""
-        pairs = self._pairs()
-        if not pairs:
-            raise ConfigurationError("Merkle anti-entropy needs at least two servers")
-        source_id, target_id = pairs[self._pair_index % len(pairs)]
-        self._pair_index += 1
-        self.rounds_run += 1
-
-        source = self.store.node(source_id)
-        target = self.store.node(target_id)
-        left, right, total_keys = self._trees(source, target)
-        divergent = diff_keys(left, right, self.diff_stats)
-
-        for key in divergent:
-            self.store.sync_key(key, source_id, target_id, bidirectional=True)
-        self.keys_synced += len(divergent)
-        self.keys_skipped += total_keys - len(divergent)
-        return source_id, target_id, divergent
-
-    def run_until_converged(self, max_rounds: int = 100) -> int:
-        """Run rounds until the store converges; returns the number of rounds."""
-        for round_number in range(1, max_rounds + 1):
-            self.run_round()
-            if self.store.is_converged():
-                return round_number
-        raise ConfigurationError(f"store did not converge within {max_rounds} rounds")
-
-    def efficiency(self) -> float:
-        """Fraction of key exchanges avoided compared to an all-keys exchange."""
-        total = self.keys_synced + self.keys_skipped
-        if total == 0:
-            return 0.0
-        return self.keys_skipped / total

@@ -12,8 +12,10 @@ One :class:`AntiEntropyEngine` per node runs the sync protocols over effects:
   into ``MERKLE_KEY_STATES`` messages.
 
 Peer input that does not fit the local tree shape (a path outside the tree,
-an interior path where a leaf is expected, an unknown partition) is dropped
-like a stale session's message; a later exchange supersedes it.
+an interior path where a leaf is expected, a ``partition``, ``roots`` key or
+``differing`` entry that is not an int partition of the local index,
+``roots`` that is not a dict or ``differing`` ranges that are not a list) is
+dropped like a stale session's message; a later exchange supersedes it.
 
 Differing ranges are descended **concurrently**: `on_merkle_partition_diff`
 opens every differing range at once and each descends independently (their
@@ -71,13 +73,12 @@ class AntiEntropySession:
     """Source-side state of one in-flight Merkle exchange.
 
     Per-vnode exchanges descend each differing range independently; the
-    session tracks one frozen tree per open partition (``None`` is the
-    whole-keyspace tree of the legacy single-tree protocol) and completes
-    when every opened partition has finished its descent.
+    session tracks one frozen tree per open partition and completes when
+    every opened partition has finished its descent.
     """
 
     peer_id: str
-    trees: Dict[Optional[int], MerkleTree] = field(default_factory=dict)
+    trees: Dict[int, MerkleTree] = field(default_factory=dict)
     open_partitions: set = field(default_factory=set)
 
 
@@ -92,8 +93,7 @@ class AntiEntropyEngine:
         # consistent across levels of one range's descent).
         self.sessions: Dict[int, AntiEntropySession] = {}
         self._session_ids = itertools.count(1)
-        self.peer_trees: Dict[Tuple[str, Optional[int]],
-                              Tuple[int, MerkleTree]] = {}
+        self.peer_trees: Dict[Tuple[str, int], Tuple[int, MerkleTree]] = {}
 
     # ------------------------------------------------------------------ #
     # Full-state exchange
@@ -134,29 +134,10 @@ class AntiEntropyEngine:
     # ------------------------------------------------------------------ #
     # Merkle-delta exchange
     # ------------------------------------------------------------------ #
-    def _merkle_tree(self, partition: Optional[int] = None) -> MerkleTree:
-        """This node's hash tree for one exchange session (or one range of it).
-
-        With incremental maintenance (the default) this snapshots the
-        write-maintained per-vnode index set — digests were kept current by
-        the mutation listeners, so the only work left is flushing dirty
-        buckets and copying digests out; ``partition`` selects a single
-        range's tree, None the combined whole-node tree.  In
-        ``merkle_maintenance="rebuild"`` mode (the pre-index behaviour, kept
-        for the maintenance-cost ablation) the whole key space is re-hashed
-        and the cost is counted in the node's ``full_rebuilds`` /
-        ``keys_hashed`` stats.
-        """
-        node = self._node
-        if node.store.merkle_index is not None:
-            if partition is not None:
-                return node.store.merkle_index.snapshot_partition(partition)
-            return node.store.merkle_index.snapshot()
-        node.store.stats["full_rebuilds"] += 1
-        node.store.stats["keys_hashed"] += len(node.store.storage)
-        return MerkleTree.for_node(node.store,
-                                   fanout=node.env.merkle_fanout,
-                                   depth=node.env.merkle_depth)
+    def _is_local_partition(self, partition: object) -> bool:
+        """Whether peer-supplied ``partition`` names a range of the local index."""
+        return (type(partition) is int
+                and partition in self._node.store.merkle_index.indexes)
 
     def open_range_count(self) -> int:
         """Range descents currently open across this node's source sessions."""
@@ -170,14 +151,11 @@ class AntiEntropyEngine:
     def start_merkle_sync_with(self, peer_id: str) -> None:
         """Begin a Merkle-delta exchange with ``peer_id``.
 
-        With per-vnode indexes the exchange opens with one message carrying
-        the root digest of every non-empty local range
-        (``MERKLE_PARTITION_DIGESTS``); the peer compares range by range and
-        names the differing ones, and only those ranges' trees are descended
-        — a mostly-synced pair pays two messages total no matter how many
-        ranges they hold.  Without a maintained index (rebuild mode) the
-        legacy single-tree protocol runs: the whole keyspace is one tree and
-        the exchange starts at its root.
+        The exchange opens with one message carrying the root digest of every
+        non-empty local range (``MERKLE_PARTITION_DIGESTS``); the peer
+        compares range by range and names the differing ones, and only those
+        ranges' trees are descended — a mostly-synced pair pays two messages
+        total no matter how many ranges they hold.
         """
         node = self._node
         env = node.env
@@ -193,39 +171,33 @@ class AntiEntropyEngine:
         self.sessions[session_id] = session
         env.merkle_stats.exchanges_started += 1
 
+        # Snapshot and advertise non-empty ranges only (absent ranges hash to
+        # the well-known empty root on both sides).
         index = node.store.merkle_index
-        if index is not None and hasattr(index, "partition_ids"):
-            # Per-range opening: snapshot and advertise non-empty ranges only
-            # (absent ranges hash to the well-known empty root on both sides).
-            roots: Dict[int, bytes] = {}
-            for partition_id in index.partition_ids():
-                if index.index_for(partition_id).key_count == 0:
-                    continue
-                tree = index.snapshot_partition(partition_id)
-                session.trees[partition_id] = tree
-                roots[partition_id] = tree.root_digest
-            size = (len(roots) * (DIGEST_BYTES + 1)
-                    + env.request_overhead_bytes)
-            node.emit(Send(Message(
-                sender=node.node_id,
-                receiver=peer_id,
-                msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
-                payload={"session": session_id, "roots": roots},
-                size_bytes=size,
-            )))
-            return
-
-        tree = self._merkle_tree()
-        session.trees[None] = tree
-        session.open_partitions.add(None)
-        self._note_range_concurrency()
-        self._send_merkle_level(session_id, peer_id, 0, [((), tree.root_digest)])
+        roots: Dict[int, bytes] = {}
+        for partition_id in index.partition_ids():
+            if index.index_for(partition_id).key_count == 0:
+                continue
+            tree = index.snapshot_partition(partition_id)
+            session.trees[partition_id] = tree
+            roots[partition_id] = tree.root_digest
+        node.emit(Send(Message(
+            sender=node.node_id,
+            receiver=peer_id,
+            msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
+            payload={"session": session_id, "roots": roots},
+            size_bytes=(len(roots) * (DIGEST_BYTES + 1)
+                        + env.request_overhead_bytes),
+        )))
 
     def on_merkle_partition_digests(self, message: Message) -> None:
         """Target side: compare per-range roots, name the differing ranges."""
         node = self._node
         session_id = message.payload["session"]
         roots = message.payload["roots"]
+        if not isinstance(roots, dict) or not all(
+                map(self._is_local_partition, roots)):
+            return  # not a map of this node's partitions: drop
         index = node.store.merkle_index
         stats = node.env.merkle_stats
 
@@ -234,9 +206,6 @@ class AntiEntropyEngine:
         for cache_key in [cache_key for cache_key in self.peer_trees
                           if cache_key[0] == message.sender]:
             del self.peer_trees[cache_key]
-
-        if not roots.keys() <= index.indexes.keys():
-            return  # names a partition this node does not have: drop
         local_live = {partition_id for partition_id in index.partition_ids()
                       if index.index_for(partition_id).key_count > 0}
         compared = sorted(local_live | set(roots))
@@ -275,6 +244,9 @@ class AntiEntropyEngine:
         if session is None or session.peer_id != message.sender:
             return  # stale session (lost messages, duplicate delivery)
         differing = message.payload["differing"]
+        if not isinstance(differing, list) or not all(
+                map(self._is_local_partition, differing)):
+            return  # not a list of this node's partitions: drop
         if not differing:
             self.sessions.pop(session_id, None)
             env.merkle_stats.exchanges_clean += 1
@@ -293,16 +265,15 @@ class AntiEntropyEngine:
         # descent of each range starts at its children.
         for partition_id in differing:
             tree = session.trees[partition_id]
-            self._send_merkle_level(session_id, session.peer_id, 1,
-                                    tree.child_digests(()),
-                                    partition=partition_id)
+            self._send_merkle_level(session_id, session.peer_id, partition_id,
+                                    1, tree.child_digests(()))
 
     def _send_merkle_level(self,
                            session_id: int,
                            peer_id: str,
+                           partition: int,
                            level: int,
-                           entries: List[Tuple[Tuple[int, ...], bytes]],
-                           partition: Optional[int] = None) -> None:
+                           entries: List[Tuple[Tuple[int, ...], bytes]]) -> None:
         node = self._node
         node.env.merkle_stats.levels_sent += 1
         size = (len(entries) * (DIGEST_BYTES + max(level, 1))
@@ -323,6 +294,8 @@ class AntiEntropyEngine:
         level = message.payload["level"]
         entries = message.payload["entries"]
         partition = message.payload.get("partition")
+        if not self._is_local_partition(partition):
+            return  # not one of this node's ranges: drop
 
         cache_key = (message.sender, partition)
         cached = self.peer_trees.get(cache_key)
@@ -331,7 +304,7 @@ class AntiEntropyEngine:
                 # First message of this session for this range (or an earlier
                 # message was lost and a deeper one arrived) — snapshot a
                 # fresh tree for it.
-                tree = self._merkle_tree(partition)
+                tree = node.store.merkle_index.snapshot_partition(partition)
                 self.peer_trees[cache_key] = (session_id, tree)
             else:
                 tree = cached[1]
@@ -343,7 +316,7 @@ class AntiEntropyEngine:
                 buckets = {path: tree.bucket_fingerprints(path)
                            for path in differing}
         except ConfigurationError:
-            return  # paths or partition do not fit this node's trees: drop
+            return  # paths do not fit this node's trees: drop
         size = len(differing) * (level + 1) + node.env.request_overhead_bytes
         if buckets is not None:
             size += sum(len(key.encode("utf-8")) + DIGEST_BYTES
@@ -366,7 +339,7 @@ class AntiEntropyEngine:
     def _finish_merkle_partition(self,
                                  session_id: int,
                                  session: AntiEntropySession,
-                                 partition: Optional[int]) -> None:
+                                 partition: int) -> None:
         """One range's descent is done; the session ends with its last range."""
         session.open_partitions.discard(partition)
         if not session.open_partitions:
@@ -374,7 +347,6 @@ class AntiEntropyEngine:
 
     def on_merkle_sync_response(self, message: Message) -> None:
         """Source side: descend into differing paths or ship divergent keys."""
-        node = self._node
         session_id = message.payload["session"]
         session = self.sessions.get(session_id)
         if session is None or session.peer_id != message.sender:
@@ -382,15 +354,13 @@ class AntiEntropyEngine:
         differing = message.payload["differing"]
         level = message.payload["level"]
         partition = message.payload.get("partition")
+        if not self._is_local_partition(partition):
+            return  # not one of this node's ranges: drop
         tree = session.trees.get(partition)
         if tree is None:
             return  # stale range (superseded session id reuse)
 
         if not differing:
-            if partition is None and level == 0:
-                # Legacy single-tree protocol: matching roots end the whole
-                # exchange cleanly.
-                node.env.merkle_stats.exchanges_clean += 1
             self._finish_merkle_partition(session_id, session, partition)
             return
 
@@ -401,8 +371,8 @@ class AntiEntropyEngine:
                 entries: List[Tuple[Tuple[int, ...], bytes]] = []
                 for path in differing:
                     entries.extend(tree.child_digests(path))
-                self._send_merkle_level(session_id, session.peer_id, level + 1,
-                                        entries, partition=partition)
+                self._send_merkle_level(session_id, session.peer_id, partition,
+                                        level + 1, entries)
                 return
             own_buckets = [(tree.bucket_fingerprints(path), peer_fingerprints)
                            for path, peer_fingerprints in buckets.items()]
@@ -456,11 +426,10 @@ class AntiEntropyEngine:
     def send_key_handoff(self, target_id: str, keys: Sequence[str]) -> None:
         """Push the states of ``keys`` to a node that became a replica home.
 
-        When this node maintains an incremental index, each shipped key rides
-        with the fingerprint its range tree already holds, so the receiver
-        can adopt the digest instead of re-hashing the state
-        (:meth:`StorageNode.ingest_handoff`): moving a vnode's worth of keys
-        costs O(1) fresh fingerprints on both sides, not O(keys moved).
+        Each shipped key rides with the fingerprint its range tree already
+        holds, so the receiver can adopt the digest instead of re-hashing the
+        state (:meth:`StorageNode.ingest_handoff`): moving a vnode's worth of
+        keys costs O(1) fresh fingerprints on both sides, not O(keys moved).
         """
         node = self._node
         env = node.env
@@ -469,11 +438,10 @@ class AntiEntropyEngine:
         for chunk in chunked(held, env.sync_batch_size):
             states = {key: node.store.state_of(key) for key in chunk}
             fingerprints: Dict[str, bytes] = {}
-            if index is not None:
-                for key in chunk:
-                    fingerprint = index.fingerprint(key)
-                    if fingerprint is not None:
-                        fingerprints[key] = fingerprint
+            for key in chunk:
+                fingerprint = index.fingerprint(key)
+                if fingerprint is not None:
+                    fingerprints[key] = fingerprint
             size = (sum(node.payload_state_size(key, state)
                         for key, state in states.items())
                     + len(fingerprints) * DIGEST_BYTES

@@ -1,8 +1,9 @@
 """One protocol node: storage plus the composed server-side state machines.
 
 :class:`ProtocolNode` is what a backend hosts per storage server.  It owns the
-durable :class:`~repro.kvstore.server.StorageNode` and the four protocol
-machines — :class:`~repro.kvstore.protocol.coordinator.Coordinator`,
+durable :class:`~repro.kvstore.server.StorageNode` (with its write-maintained
+per-vnode :class:`~repro.kvstore.merkle_index.VnodeIndexSet`) and the four
+protocol machines — :class:`~repro.kvstore.protocol.coordinator.Coordinator`,
 :class:`~repro.kvstore.protocol.replica.ReplicaHandler`,
 :class:`~repro.kvstore.protocol.anti_entropy.AntiEntropyEngine` and
 :class:`~repro.kvstore.protocol.hints.HintReplayer` — and routes decoded
@@ -23,6 +24,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ...network.message import Message, MessageType
 from ...obs.trace import NO_TRACER
+from ..merkle_index import VnodeIndexSet
 from ..server import StorageNode
 from .anti_entropy import AntiEntropyEngine
 from .coordinator import Coordinator
@@ -36,13 +38,21 @@ from .util import default_value_size
 class ProtocolNode:
     """A storage server's protocol brain, independent of any transport."""
 
-    def __init__(self, node_id: str, mechanism, env,
-                 store: Optional[StorageNode] = None) -> None:
+    def __init__(self, node_id: str, mechanism, env) -> None:
         self.node_id = node_id
         self.mechanism = mechanism
         self.env = env
-        self.store = store if store is not None else StorageNode(
-            node_id, mechanism, partition_map=env.placement.partition_map)
+        partition_map = env.placement.partition_map
+        self.store = StorageNode(node_id, mechanism, partition_map=partition_map)
+        # One hash tree per vnode range, updated in place by every storage
+        # mutation, so anti-entropy exchanges snapshot instead of rebuilding.
+        self.store.attach_merkle_index(VnodeIndexSet(
+            mechanism,
+            partition_map=partition_map,
+            fanout=env.merkle_fanout,
+            depth=env.merkle_depth,
+            counters=self.store.stats,
+        ))
         #: The node's clock, set by the backend on every entry (simulated
         #: milliseconds or wall-clock milliseconds — the machines never ask).
         self.now = 0.0

@@ -28,9 +28,8 @@ MERGE_COUNTERS = {
     "handoff": "handoffs",
 }
 
-#: Hash-tree maintenance counters, seeded to zero on every node so cluster
-#: stat totals keep a stable shape whether the node carries an incremental
-#: Merkle index, rebuilds trees per exchange, or does no anti-entropy at all.
+#: Hash-tree maintenance counters, seeded to zero on every node so stat
+#: totals keep a stable shape whether or not the node carries a Merkle index.
 #: The :class:`~repro.kvstore.merkle_index.MerkleIndex` increments them.
 INDEX_COUNTERS = ("keys_hashed", "buckets_rehashed", "full_rebuilds",
                   "snapshot_digests", "fingerprints_imported",
@@ -49,8 +48,7 @@ class StorageNode:
         self.mechanism = mechanism
         self.storage = NodeStorage(mechanism, partition_map=partition_map)
         #: Incremental Merkle index over this node's key space, when attached
-        #: (see :meth:`attach_merkle_index`); None means exchanges rebuild
-        #: trees from scratch.
+        #: (see :meth:`attach_merkle_index`).
         self.merkle_index = None
         #: Operation counters for diagnostics and reports.  ``merges`` counts
         #: ordinary replication/read-repair merges only; hint replays, Merkle

@@ -37,11 +37,10 @@ clock and transport, fault injection, and the membership operations.
   **Merkle-delta** exchange (:mod:`repro.kvstore.protocol.anti_entropy`),
   whose bytes on the wire are proportional to the divergence rather than
   the store size; the full-state exchange remains available via
-  ``anti_entropy_strategy="full"``.  Each server's hash trees are
-  write-maintained per vnode range
-  (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`);
-  ``merkle_maintenance="rebuild"`` restores rebuild-per-exchange for cost
-  comparisons.
+  ``anti_entropy_strategy="full"`` as the measured baseline.  Each server's
+  hash trees are write-maintained per vnode range
+  (:class:`~repro.kvstore.merkle_index.VnodeIndexSet`), so an exchange
+  snapshots digests instead of re-hashing the key space.
 
 Every machine consumes decoded messages and timer events and emits effects;
 an :class:`~repro.kvstore.protocol.effects.EffectRunner` per hosted node
@@ -138,13 +137,7 @@ class SimulatedCluster(ClusterHost):
         Keys per MERKLE_KEY_STATES / HINT_REPLAY / KEY_HANDOFF message (also
         the read-repair batch size).
     merkle_fanout / merkle_depth:
-        Shape of the hash trees used by the Merkle-delta exchange.
-    merkle_maintenance:
-        ``"incremental"`` (default) — every server carries a write-maintained
-        :class:`~repro.kvstore.merkle_index.MerkleIndex` and exchanges take
-        cheap digest snapshots; ``"rebuild"`` — the pre-index behaviour of
-        re-hashing the whole key space per exchange, kept for the
-        maintenance-cost ablation.
+        Shape of the per-vnode hash trees used by the Merkle-delta exchange.
     read_repair_batch_ms:
         Coalescing window for read-repair pushes: repairs destined for the
         same stale replica within this window ride one READ_REPAIR message
@@ -185,7 +178,6 @@ class SimulatedCluster(ClusterHost):
                  sync_batch_size: int = 16,
                  merkle_fanout: int = 16,
                  merkle_depth: int = 2,
-                 merkle_maintenance: str = "incremental",
                  read_repair_batch_ms: float = 2.0,
                  deadline_mode: str = "fixed",
                  deadline_floor_ms: float = 2.0,
@@ -217,7 +209,6 @@ class SimulatedCluster(ClusterHost):
             sync_batch_size=sync_batch_size,
             merkle_fanout=merkle_fanout,
             merkle_depth=merkle_depth,
-            merkle_maintenance=merkle_maintenance,
             read_repair_batch_ms=read_repair_batch_ms,
             deadline_mode=deadline_mode,
             deadline_floor_ms=deadline_floor_ms,
@@ -438,8 +429,7 @@ class SimulatedCluster(ClusterHost):
         self._stop_daemons()
         self.simulation.run_until_idle(max_events=max_events)
 
-    def run_anti_entropy_round(self, strategy: Optional[str] = None,
-                               settle: bool = True) -> None:
+    def run_anti_entropy_round(self, settle: bool = True) -> None:
         """Start one exchange for every reachable server pair, then settle.
 
         Used by tests and scenarios to force convergence deterministically
@@ -450,11 +440,11 @@ class SimulatedCluster(ClusterHost):
             for target_id in server_ids[i + 1:]:
                 if (self.membership.is_up(source_id)
                         and self.can_reach(source_id, target_id)):
-                    self.start_exchange(source_id, target_id, strategy)
+                    self.start_exchange(source_id, target_id)
         if settle:
             self.simulation.run_until_idle()
 
-    def converge(self, max_rounds: int = 30, strategy: Optional[str] = None) -> int:
+    def converge(self, max_rounds: int = 30) -> int:
         """Run anti-entropy rounds until every replica agrees; returns rounds.
 
         Stops the background daemons first (they are periodic tasks and would
@@ -466,7 +456,7 @@ class SimulatedCluster(ClusterHost):
         if self.is_converged():
             return 0
         for round_number in range(1, max_rounds + 1):
-            self.run_anti_entropy_round(strategy)
+            self.run_anti_entropy_round()
             if self.is_converged():
                 return round_number
         raise ConfigurationError(f"cluster did not converge within {max_rounds} rounds")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.clocks import create
 from repro.cluster import QuorumConfig
-from repro.kvstore import MerkleTree, SimulatedCluster
+from repro.kvstore import MerkleTree, SimulatedCluster, VnodeIndexSet
 from repro.network import FixedLatency
 
 KEYS = ("alpha", "beta", "gamma", "delta")
@@ -157,16 +157,15 @@ class TestIndexEqualsRebuildUnderChurn:
         cluster.drain()
         assert_index_matches_rebuild(cluster, context="after read repair")
 
-    def test_rebuild_maintenance_mode_has_no_index(self):
-        cluster = build_cluster("dvv", seed=23, merkle_maintenance="rebuild",
-                                hint_replay_interval_ms=None)
+    def test_every_node_exchanges_from_its_per_vnode_index(self):
+        cluster = build_cluster("dvv", seed=23, hint_replay_interval_ms=None)
         client = cluster.client("writer")
         client.put("k", "v1")
         cluster.drain()
-        assert all(server.node.merkle_index is None
+        assert all(isinstance(server.node.merkle_index, VnodeIndexSet)
                    for server in cluster.servers.values())
         cluster.run_anti_entropy_round()
         assert cluster.is_converged()
-        # the rebuild cost is visible in the maintenance counters instead
-        totals = cluster.stat_totals()
-        assert totals["full_rebuilds"] > 0
+        # the exchange reads the write-maintained index, never a rebuild
+        assert cluster.stat_totals()["full_rebuilds"] == 0
+        assert_index_matches_rebuild(cluster, context="after anti-entropy")

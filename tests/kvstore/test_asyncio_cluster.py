@@ -1,7 +1,8 @@
 """The asyncio backend end to end over real sockets.
 
 Read-your-writes between two clients and convergence, once over Unix-domain
-sockets and once over TCP, plus a lifetime check: once stopped and dropped,
+sockets and once over TCP, a check that anti-entropy runs from each server's
+write-maintained per-vnode index, plus a lifetime check: once stopped and dropped,
 a cluster must be garbage even though the event loop still holds handles
 for the connections it closed.
 """
@@ -16,7 +17,7 @@ import weakref
 import pytest
 
 from repro.clocks import create
-from repro.kvstore import AsyncioCluster
+from repro.kvstore import AsyncioCluster, MerkleTree, VnodeIndexSet
 
 SERVER_IDS = ("A", "B", "C")
 #: Listeners a TCP cluster binds: every server and both clients.
@@ -66,6 +67,28 @@ async def read_your_writes(cluster: AsyncioCluster) -> None:
 def test_unix_sockets_read_your_writes_and_converge():
     asyncio.run(read_your_writes(AsyncioCluster(
         create("dvv"), server_ids=SERVER_IDS, anti_entropy_interval_ms=20.0)))
+
+
+def test_anti_entropy_reads_each_servers_per_vnode_index():
+    async def scenario(cluster: AsyncioCluster) -> None:
+        async with cluster:
+            writer = await cluster.client("writer")
+            for index in range(8):
+                assert await writer.put(f"k{index}", f"v{index}") is not None
+            await cluster.converge(timeout_s=10.0)
+            assert cluster.is_converged()
+
+    cluster = AsyncioCluster(create("dvvset"), server_ids=SERVER_IDS,
+                             anti_entropy_interval_ms=20.0)
+    asyncio.run(scenario(cluster))
+    assert cluster.stat_totals()["full_rebuilds"] == 0
+    for server in cluster.servers.values():
+        index = server.node.merkle_index
+        assert isinstance(index, VnodeIndexSet)
+        rebuilt = MerkleTree.for_node(server.node,
+                                      fanout=cluster.env.merkle_fanout,
+                                      depth=cluster.env.merkle_depth)
+        assert index.root_digest == rebuilt.root_digest
 
 
 def test_tcp_read_your_writes_and_converge():

@@ -15,7 +15,6 @@ from repro.core import ConfigurationError
 from repro.kvstore import ClientSession, SyncReplicatedStore
 from repro.kvstore.merkle import (
     DiffStats,
-    MerkleAntiEntropy,
     MerkleTree,
     diff_keys,
     key_fingerprint,
@@ -266,34 +265,3 @@ class TestDiffKeys:
         # exactly that key diverging
         tree_b = MerkleTree.for_node(store.node("B"))
         assert diff_keys(after, tree_b) == ["key-5"]
-
-
-class TestMerkleAntiEntropy:
-    def test_converges_the_store(self):
-        store = populated_store(keys=15)
-        anti_entropy = MerkleAntiEntropy(store)
-        rounds = anti_entropy.run_until_converged()
-        assert store.is_converged()
-        assert rounds >= 1
-        assert anti_entropy.keys_synced > 0
-
-    def test_skips_already_synchronised_keys(self):
-        store = populated_store(keys=30)
-        store.converge()
-        client = ClientSession("late-writer")
-        client.get(store, "key-9", server_id="A")
-        client.put(store, "key-9", "changed", server_id="A")
-        anti_entropy = MerkleAntiEntropy(store)
-        anti_entropy.run_until_converged()
-        assert anti_entropy.efficiency() > 0.5
-        assert anti_entropy.keys_synced < 30
-
-    def test_requires_two_servers(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A",))
-        with pytest.raises(ConfigurationError):
-            MerkleAntiEntropy(store).run_round()
-
-    def test_efficiency_of_empty_run(self):
-        store = SyncReplicatedStore(DVVMechanism(), server_ids=("A", "B"))
-        anti_entropy = MerkleAntiEntropy(store)
-        assert anti_entropy.efficiency() == 0.0

@@ -263,7 +263,7 @@ def seed_converged(cluster, keys):
     return client
 
 
-class TestMerkleAntiEntropyProtocol:
+class TestMerkleDeltaExchange:
     def test_clean_exchange_costs_one_digest_roundtrip(self):
         cluster = build_cluster(hint_replay_interval_ms=None)
         seed_converged(cluster, [f"k{i}" for i in range(10)])
@@ -272,7 +272,7 @@ class TestMerkleAntiEntropyProtocol:
         cluster.start_exchange("n1", "n2")
         cluster.simulation.run_until_idle()
         assert cluster.merkle_stats.exchanges_clean == 1
-        # root request + "nothing differs" response, no key states
+        # per-range root digests + an empty diff, no key states
         assert cluster.transport.stats.sent - sent_before == 2
         assert cluster.transport.stats.per_type.get("merkle_key_states", 0) == 0
 

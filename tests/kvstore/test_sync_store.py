@@ -91,6 +91,51 @@ class TestReplication:
         values = store.values("k", "A")
         assert sorted(values) == ["v-A", "v-B", "v-C"]
 
+    def test_converge_syncs_every_key_in_one_round(self):
+        store = make_store(servers=("A", "B", "C"))
+        client = ClientSession("writer")
+        for index in range(15):
+            client.get(store, f"key-{index}", server_id="A")
+            client.put(store, f"key-{index}", f"value-{index}", server_id="A")
+        assert not store.is_converged()
+        assert store.converge() == 1
+        for index in range(15):
+            for server in ("A", "B", "C"):
+                assert store.values(f"key-{index}", server) == [f"value-{index}"]
+
+    def test_pairwise_sync_leaves_third_replica_diverged(self):
+        store = make_store(servers=("A", "B", "C"))
+        for index, server in enumerate(("A", "B", "C")):
+            fresh = ClientSession(f"client-{index}")
+            fresh.get(store, "k", server_id=server)
+            fresh.put(store, "k", f"v-{server}", server_id=server)
+        store.sync_key("k", "A", "B")
+        assert sorted(store.values("k", "A")) == ["v-A", "v-B"]
+        assert sorted(store.values("k", "B")) == ["v-A", "v-B"]
+        assert store.values("k", "C") == ["v-C"]
+        assert not store.is_converged("k")
+        store.sync_all("k")
+        assert store.is_converged("k")
+
+    def test_one_way_sync_leaves_source_untouched(self):
+        store = make_store()
+        for index, server in enumerate(("A", "B")):
+            fresh = ClientSession(f"client-{index}")
+            fresh.get(store, "k", server_id=server)
+            fresh.put(store, "k", f"v-{server}", server_id=server)
+        store.sync_key("k", "A", "B", bidirectional=False)
+        assert sorted(store.values("k", "B")) == ["v-A", "v-B"]
+        assert store.values("k", "A") == ["v-A"]
+
+    def test_single_replica_store_is_converged(self):
+        store = make_store(servers=("A",))
+        client = ClientSession("c1")
+        client.get(store, "k")
+        client.put(store, "k", "v1")
+        assert store.is_converged()
+        assert store.converge() == 1
+        assert store.values("k", "A") == ["v1"]
+
     def test_sibling_counts(self):
         store = make_store()
         alice, bob = ClientSession("alice"), ClientSession("bob")

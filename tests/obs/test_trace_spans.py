@@ -151,8 +151,7 @@ def test_sloppy_quorum_write_span_tree_asyncio():
                 await asyncio.sleep(0.01)
 
             # bring the node back as a fresh listener on the same address
-            server = HostedServer(down, cluster.env, cluster._transport_for,
-                                  cluster.merkle_maintenance)
+            server = HostedServer(down, cluster.env, cluster._transport_for)
             await server.transport.start()
             cluster.servers[down] = server
 

@@ -18,7 +18,6 @@ from repro.clocks import create
 from repro.cluster import ConsistentHashRing, Membership, PartitionMap, PlacementService, QuorumConfig
 from repro.kvstore import WriteLog
 from repro.kvstore.client import ClientSession
-from repro.kvstore.merkle_index import VnodeIndexSet
 from repro.kvstore.protocol import ClientProtocol, MerkleSyncStats, ProtocolNode
 from repro.kvstore.protocol.effects import ClearTimer, Send, SetTimer
 from repro.kvstore.protocol.env import StaticProtocolEnv
@@ -362,10 +361,6 @@ def test_membership_put_skips_unreachable_replicas_and_holds_hints():
 # --------------------------------------------------------------------------- #
 def merkle_node(env):
     node = ProtocolNode("A", env.mechanism, env)
-    node.store.attach_merkle_index(VnodeIndexSet(
-        env.mechanism, partition_map=env.placement.partition_map,
-        fanout=env.merkle_fanout, depth=env.merkle_depth,
-        counters=node.store.stats))
     writer = ClientSession("c1")
     for i in range(32):
         key = f"key-{i}"
@@ -386,7 +381,10 @@ def merkle_sync_request(session, level, entries, partition):
     (1, [((99,), b"\x00" * 32)], 0),              # path outside the tree
     (2, [((1,), b"\x00" * 32)], 0),               # interior path at leaf level
     (1, [((0,), b"\x00" * 32)], 10_000),          # partition outside the map
-], ids=["path_outside_tree", "interior_path_at_leaf_level", "unknown_partition"])
+    (0, [((), b"\x00" * 32)], None),              # no partition (whole keyspace)
+    (1, [((0,), b"\x00" * 32)], [0]),             # partition that is not an int
+], ids=["path_outside_tree", "interior_path_at_leaf_level", "unknown_partition",
+        "no_partition", "partition_not_an_int"])
 def test_malformed_merkle_sync_request_is_dropped(level, entries, partition):
     env = build_env()
     node = merkle_node(env)
@@ -401,34 +399,63 @@ def test_malformed_merkle_sync_request_is_dropped(level, entries, partition):
     assert response.payload["session"] == 2
 
 
-def test_merkle_partition_digests_naming_an_unknown_partition_are_dropped():
+@pytest.mark.parametrize("roots", [
+    {10_000: b"\x00" * 32},                       # partition outside the map
+    {True: b"\x00" * 32},                         # partition that is not an int
+    [0],                                          # roots that is not a dict
+], ids=["unknown_partition", "partition_not_an_int", "roots_not_a_dict"])
+def test_malformed_merkle_partition_digests_are_dropped(roots):
     env = build_env()
     node = merkle_node(env)
     message = Message(sender="B", receiver="A",
                       msg_type=MessageType.MERKLE_PARTITION_DIGESTS,
-                      payload={"session": 1, "roots": {10_000: b"\x00" * 32}},
+                      payload={"session": 1, "roots": roots},
                       size_bytes=0)
     assert node.on_message(message, now=0.0) == []
     assert env.merkle_stats.partitions_compared == 0
 
 
-@pytest.mark.parametrize("differing,buckets", [
-    ([(99,)], None),                              # descend below a bogus path
-    ([(1,)], {(1,): {"key-0": b"\x00" * 32}}),    # interior path as a bucket
-], ids=["path_outside_tree", "interior_path_as_bucket"])
-def test_malformed_merkle_sync_response_is_dropped(differing, buckets):
+@pytest.mark.parametrize("differing", [
+    [None],                                       # partition that is not an int
+    [10_000],                                     # partition outside the map
+    5,                                            # ranges that are not a list
+], ids=["partition_not_an_int", "unknown_partition", "differing_not_a_list"])
+def test_malformed_merkle_partition_diff_is_dropped(differing):
     env = build_env()
     node = merkle_node(env)
     [opening] = sends(node.start_merkle_sync_with("B", now=0.0))
     session = opening.payload["session"]
-    partition = min(opening.payload["roots"])
+    message = Message(sender="B", receiver="A",
+                      msg_type=MessageType.MERKLE_PARTITION_DIFF,
+                      payload={"session": session, "differing": differing},
+                      size_bytes=0)
+    assert node.on_message(message, now=1.0) == []
+    assert session in node.anti_entropy.sessions  # not finished, just dropped
+
+
+#: Stands for the partition the exchange under test actually opened.
+OPENED = "opened"
+
+
+@pytest.mark.parametrize("differing,buckets,partition", [
+    ([(99,)], None, OPENED),                      # descend below a bogus path
+    ([(1,)], {(1,): {"key-0": b"\x00" * 32}}, OPENED),  # interior path as a bucket
+    ([(0,)], None, [0]),                          # partition that is not an int
+], ids=["path_outside_tree", "interior_path_as_bucket", "partition_not_an_int"])
+def test_malformed_merkle_sync_response_is_dropped(differing, buckets, partition):
+    env = build_env()
+    node = merkle_node(env)
+    [opening] = sends(node.start_merkle_sync_with("B", now=0.0))
+    session = opening.payload["session"]
+    opened = min(opening.payload["roots"])
     response = Message(sender="B", receiver="A",
                        msg_type=MessageType.MERKLE_SYNC_RESPONSE,
                        payload={"session": session, "level": 1,
                                 "differing": differing, "buckets": buckets,
-                                "partition": partition},
+                                "partition": opened if partition == OPENED
+                                else partition},
                        size_bytes=0)
-    node.anti_entropy.sessions[session].open_partitions.add(partition)
+    node.anti_entropy.sessions[session].open_partitions.add(opened)
 
     assert node.on_message(response, now=1.0) == []
     assert session in node.anti_entropy.sessions  # not finished, just dropped
