@@ -27,6 +27,11 @@ Consumers therefore share one encoding instead of four: ``encoded_size`` is a
 length of the cached bytes, the wire codec embeds them verbatim (retagging
 ``D``→``W`` for DVVs), and the Merkle layers hash them at most once.
 
+Decoding is the inverse and just as strict: :func:`decode_vv`,
+:func:`decode_dvv` and :func:`decode_history` accept only the bytes the cold
+encoders emit, so each decoded clock adopts its input slice as its memoized
+encoding.  :mod:`repro.core.serialization` and the wire codec share them.
+
 Cache-effectiveness counters are kept module-wide (:func:`codec_stats` /
 :func:`reset_codec_stats`) so benchmarks can report a hit ratio.
 
@@ -39,7 +44,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Any, Callable, Dict, List, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Tuple
 
 from .causal_history import CausalHistory
 from .dot import Dot
@@ -54,12 +60,21 @@ MEMO_SLOTS = ("_encoded", "_fingerprint")
 
 _sha256 = hashlib.sha256
 _set_attr = object.__setattr__
+_new = object.__new__
+_intern = sys.intern
+_dot_order = attrgetter("actor", "counter")
 
 
 # ---------------------------------------------------------------------- #
 # Low-level primitives (LEB128 varints, length-prefixed UTF-8 strings)
 # ---------------------------------------------------------------------- #
+#: Single-byte varints, prebuilt: most counters, lengths and flags fit one.
+_ONE_BYTE_VARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+
 def _encode_varint(value: int) -> bytes:
+    if 0 <= value < 0x80:
+        return _ONE_BYTE_VARINTS[value]
     if value < 0:
         raise SerializationError(f"cannot encode negative integer {value}")
     out = bytearray()
@@ -73,30 +88,46 @@ def _encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
+def _varint_tail(data: bytes, offset: int, first: int) -> Tuple[int, int]:
+    """Finish a multi-byte varint whose first byte (``first``) is read."""
+    result = first & 0x7F
+    shift = 7
     while True:
-        if offset >= len(data):
-            raise SerializationError("truncated varint")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte:
+                # A zero final byte adds nothing: the encoder never emits it.
+                raise SerializationError("non-minimal varint")
             return result, offset
         shift += 7
 
 
+def _decode_varint(data: bytes, offset: int) -> Tuple[int, int]:
+    byte = data[offset]
+    if byte < 0x80:
+        return byte, offset + 1
+    return _varint_tail(data, offset + 1, byte)
+
+
 def _encode_str(value: str) -> bytes:
     raw = value.encode("utf-8")
-    return _encode_varint(len(raw)) + raw
+    length = len(raw)
+    if length < 0x80:
+        return _ONE_BYTE_VARINTS[length] + raw
+    return _encode_varint(length) + raw
 
 
 def _decode_str(data: bytes, offset: int) -> Tuple[str, int]:
-    length, offset = _decode_varint(data, offset)
-    if offset + length > len(data):
+    length = data[offset]
+    offset += 1
+    if length >= 0x80:
+        length, offset = _varint_tail(data, offset, length)
+    end = offset + length
+    if end > len(data):
         raise SerializationError("truncated string")
-    return data[offset:offset + length].decode("utf-8"), offset + length
+    return data[offset:end].decode("utf-8"), end
 
 
 def intern_actor(actor: str) -> str:
@@ -111,9 +142,17 @@ def intern_actor(actor: str) -> str:
 
 
 def _decode_actor(data: bytes, offset: int) -> Tuple[str, int]:
-    """Decode a length-prefixed actor id, interned."""
+    """Decode a length-prefixed actor id, interned (never empty)."""
+    length = data[offset]
+    if 0 < length < 0x80:
+        end = offset + 1 + length
+        if end > len(data):
+            raise SerializationError("truncated actor id")
+        return _intern(data[offset + 1:end].decode("utf-8")), end
     actor, offset = _decode_str(data, offset)
-    return sys.intern(actor), offset
+    if not actor:
+        raise SerializationError("empty actor id")
+    return _intern(actor), offset
 
 
 def _encode_vv_body(vv: VersionVector) -> bytes:
@@ -122,16 +161,6 @@ def _encode_vv_body(vv: VersionVector) -> bytes:
         out += _encode_str(actor)
         out += _encode_varint(counter)
     return bytes(out)
-
-
-def _decode_vv_body(data: bytes, offset: int) -> Tuple[VersionVector, int]:
-    count, offset = _decode_varint(data, offset)
-    entries: Dict[str, int] = {}
-    for _ in range(count):
-        actor, offset = _decode_actor(data, offset)
-        counter, offset = _decode_varint(data, offset)
-        entries[actor] = counter
-    return VersionVector(entries), offset
 
 
 def _value_to_str(value: Any) -> str:
@@ -184,7 +213,9 @@ def _encode_dvv(clock: DottedVersionVector) -> bytes:
 
 
 def _encode_history(clock: CausalHistory) -> bytes:
-    dots = sorted(clock.events())
+    # Dot order is (actor, counter); a C-level key sorts without calling the
+    # dataclass-generated ``Dot.__lt__`` once per comparison.
+    dots = sorted(clock.events(), key=_dot_order)
     out = bytearray(b"H")
     event = clock.event
     out += _encode_varint(1 if event is not None else 0)
@@ -235,6 +266,118 @@ def register_encoder(cls: type, encoder: Callable[[Any], bytes]) -> None:
 def is_canonical_type(value: Any) -> bool:
     """True when ``value`` participates in the canonical-bytes layer."""
     return type(value) in _ENCODERS
+
+
+# ---------------------------------------------------------------------- #
+# Strict decoders (one per canonical record)
+# ---------------------------------------------------------------------- #
+# Each decoder takes the offset of the record's tag byte and returns
+# ``(clock, end)``.  It accepts only what the cold encoder above emits —
+# minimal varints, sorted non-zero vector entries, strictly ascending history
+# dots with the event among them — so the decoded instance's canonical bytes
+# are exactly its slice of the input, which it adopts as ``_encoded`` instead
+# of being re-encoded when it is next sent or hashed.  Validation happens
+# here, so the instances are built without re-running their constructors'
+# checks.  A read past the end of ``data`` surfaces as IndexError or
+# UnicodeDecodeError; callers turn :data:`MALFORMED` into SerializationError.
+
+#: What a decoder raises on malformed input besides SerializationError.
+MALFORMED = (IndexError, UnicodeDecodeError)
+
+
+def _make_dot(actor: str, counter: int) -> Dot:
+    dot = _new(Dot)
+    _set_attr(dot, "actor", actor)
+    _set_attr(dot, "counter", counter)
+    return dot
+
+
+def _decode_dot(data: bytes, offset: int) -> Tuple[Dot, int]:
+    actor, offset = _decode_actor(data, offset)
+    counter, offset = _decode_varint(data, offset)
+    if not counter:
+        raise SerializationError(f"dot ({actor},0) has a zero counter")
+    return _make_dot(actor, counter), offset
+
+
+def _make_vv(entries: Dict[str, int], encoded: Any) -> VersionVector:
+    vv = _new(VersionVector)
+    _set_attr(vv, "_entries", entries)
+    _set_attr(vv, "_encoded", encoded)
+    _set_attr(vv, "_fingerprint", None)
+    return vv
+
+
+def _decode_vv_entries(data: bytes, offset: int) -> Tuple[Dict[str, int], int]:
+    """A version-vector body: entries sorted by actor, none zero or repeated."""
+    count, offset = _decode_varint(data, offset)
+    entries: Dict[str, int] = {}
+    previous = ""
+    for _ in range(count):
+        actor, offset = _decode_actor(data, offset)
+        counter, offset = _decode_varint(data, offset)
+        if actor <= previous or not counter:
+            raise SerializationError(
+                f"non-canonical version vector entry {actor!r}: {counter}")
+        entries[actor] = counter
+        previous = actor
+    return entries, offset
+
+
+def decode_vv(data: bytes, start: int) -> Tuple[VersionVector, int]:
+    """The ``V`` record at ``start``."""
+    entries, end = _decode_vv_entries(data, start + 1)
+    return _make_vv(entries, data[start:end]), end
+
+
+def decode_dvv(data: bytes, start: int) -> Tuple[DottedVersionVector, int]:
+    """The DVV record at ``start`` (tag ``D``, or the wire's ``W``)."""
+    dot, offset = _decode_dot(data, start + 1)
+    entries, end = _decode_vv_entries(data, offset)
+    if dot.counter <= entries.get(dot.actor, 0):
+        raise SerializationError(f"DVV dot {dot} lies inside its causal past")
+    clock = _new(DottedVersionVector)
+    _set_attr(clock, "_dot", dot)
+    _set_attr(clock, "_vv", _make_vv(entries, None))
+    _set_attr(clock, "_encoded", b"D" + data[start + 1:end])
+    _set_attr(clock, "_fingerprint", None)
+    return clock, end
+
+
+def decode_history(data: bytes, start: int) -> Tuple[CausalHistory, int]:
+    """The ``H`` record at ``start``."""
+    offset = start + 1
+    has_event = data[offset]
+    offset += 1
+    event = None
+    if has_event:
+        if has_event != 1:
+            raise SerializationError(f"history event flag {has_event} is not 0 or 1")
+        event, offset = _decode_dot(data, offset)
+    count, offset = _decode_varint(data, offset)
+    past = []
+    append = past.append
+    previous_actor, previous_counter = "", 0
+    for _ in range(count):
+        actor, offset = _decode_actor(data, offset)
+        counter, offset = _decode_varint(data, offset)
+        if actor == previous_actor:
+            if counter <= previous_counter:
+                raise SerializationError("history dots must ascend strictly")
+        elif actor < previous_actor or not counter:
+            raise SerializationError("history dots must ascend strictly from 1")
+        previous_actor, previous_counter = actor, counter
+        if event is not None and counter == event.counter and actor == event.actor:
+            continue
+        append(_make_dot(actor, counter))
+    if event is not None and len(past) == count:
+        raise SerializationError(f"history event {event} is missing from its dots")
+    clock = _new(CausalHistory)
+    _set_attr(clock, "_event", event)
+    _set_attr(clock, "_past", frozenset(past))
+    _set_attr(clock, "_encoded", data[start:offset])
+    _set_attr(clock, "_fingerprint", None)
+    return clock, offset
 
 
 # ---------------------------------------------------------------------- #
@@ -330,11 +473,15 @@ def clear_state_fingerprint_cache() -> None:
 
 
 __all__ = [
+    "MALFORMED",
     "MEMO_SLOTS",
     "cache_hit_ratio",
     "canonical_bytes",
     "clear_state_fingerprint_cache",
     "codec_stats",
+    "decode_dvv",
+    "decode_history",
+    "decode_vv",
     "fingerprint",
     "hexfingerprint",
     "intern_actor",

@@ -139,6 +139,16 @@ class AntiEntropyEngine:
         return (type(partition) is int
                 and partition in self._node.store.merkle_index.indexes)
 
+    @staticmethod
+    def _is_level(level: object) -> bool:
+        """Whether peer-supplied ``level`` is a tree depth (a bool is not)."""
+        return type(level) is int and level >= 0
+
+    @staticmethod
+    def _is_paths(paths: object) -> bool:
+        """Whether peer-supplied ``paths`` is a list of tree paths."""
+        return isinstance(paths, list) and all(type(path) is tuple for path in paths)
+
     def open_range_count(self) -> int:
         """Range descents currently open across this node's source sessions."""
         return sum(len(session.open_partitions) for session in self.sessions.values())
@@ -296,6 +306,10 @@ class AntiEntropyEngine:
         partition = message.payload.get("partition")
         if not self._is_local_partition(partition):
             return  # not one of this node's ranges: drop
+        if not self._is_level(level) or not (isinstance(entries, list) and all(
+                type(entry) is tuple and len(entry) == 2
+                and type(entry[0]) is tuple for entry in entries)):
+            return  # not a level of (path, digest) pairs: drop
 
         cache_key = (message.sender, partition)
         cached = self.peer_trees.get(cache_key)
@@ -359,12 +373,15 @@ class AntiEntropyEngine:
         tree = session.trees.get(partition)
         if tree is None:
             return  # stale range (superseded session id reuse)
+        buckets = message.payload.get("buckets")
+        if not (self._is_level(level) and self._is_paths(differing)
+                and (buckets is None or isinstance(buckets, dict))):
+            return  # not a level's differing paths and buckets: drop
 
         if not differing:
             self._finish_merkle_partition(session_id, session, partition)
             return
 
-        buckets = message.payload.get("buckets")
         try:
             if buckets is None:
                 # Descend one level: ship child digests of every differing path.

@@ -19,7 +19,9 @@ Failure semantics match the simulated transport's stance: a send toward an
 address nobody listens on, or over a connection that breaks, is a counted,
 silent drop (``stats.dropped_unknown_destination``).  The protocol already
 tolerates lost messages — deadlines, read repair and anti-entropy exist for
-exactly that — so the backend never retries or errors a send.
+exactly that — so the backend never retries or errors a send.  Inbound, a
+frame the wire codec rejects closes only the connection it arrived on
+(``stats.malformed_frames``); the endpoint keeps serving every other one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..core.exceptions import SerializationError
 from .base import ProtocolTransport
 from .message import Message
 from .transport import TransportStats
@@ -153,6 +156,10 @@ class AsyncioEndpoint(ProtocolTransport):
             pass  # endpoint closing; finish normally so close() can await us
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # peer closed (or died); it will redial if it needs us
+        except SerializationError:
+            # A frame the codec rejects: the stream can no longer be trusted
+            # to be in step, so close this connection only.
+            self.stats.malformed_frames += 1
         finally:
             writer.close()
             if task is not None and task in self._reader_tasks:

@@ -49,6 +49,9 @@ class TransportStats:
     deadlines_set: int = 0
     deadlines_fired: int = 0
     deadlines_cancelled: int = 0
+    #: Inbound frames the wire codec rejected (socket backend only); each
+    #: one closed the connection it arrived on.
+    malformed_frames: int = 0
     per_type: Dict[str, int] = field(default_factory=dict)
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
     delivered_bytes_per_type: Dict[str, int] = field(default_factory=dict)

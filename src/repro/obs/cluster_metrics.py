@@ -32,6 +32,7 @@ _TRANSPORT_FIELDS = (
     "dropped_unknown_destination", "duplicated",
     "bytes_sent", "bytes_delivered", "bytes_dropped",
     "deadlines_set", "deadlines_fired", "deadlines_cancelled",
+    "malformed_frames",
 )
 
 

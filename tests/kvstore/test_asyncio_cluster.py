@@ -4,7 +4,8 @@ Read-your-writes between two clients and convergence, once over Unix-domain
 sockets and once over TCP, a check that anti-entropy runs from each server's
 write-maintained per-vnode index, plus a lifetime check: once stopped and dropped,
 a cluster must be garbage even though the event loop still holds handles
-for the connections it closed.
+for the connections it closed, and a malformed inbound frame closes only the
+connection it arrived on.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro.clocks import create
 from repro.kvstore import AsyncioCluster, MerkleTree, VnodeIndexSet
+from repro.network.wire import WIRE_VERSION
 
 SERVER_IDS = ("A", "B", "C")
 #: Listeners a TCP cluster binds: every server and both clients.
@@ -119,3 +121,30 @@ def test_stopped_cluster_is_garbage_without_another_loop_turn():
         return alive()
 
     assert asyncio.run(scenario()) is None
+
+
+def test_malformed_frame_closes_only_its_own_connection():
+    async def scenario(cluster: AsyncioCluster) -> None:
+        async with cluster:
+            _, path = cluster.address_book["A"]
+            bad_reader, bad_writer = await asyncio.open_unix_connection(path)
+            idle_reader, idle_writer = await asyncio.open_unix_connection(path)
+            body = bytes([WIRE_VERSION]) + b"\xff garbage, not a message"
+            bad_writer.write(len(body).to_bytes(4, "big") + body)
+            await bad_writer.drain()
+
+            # The server closes the connection that carried the bad frame ...
+            assert await asyncio.wait_for(bad_reader.read(), timeout=5.0) == b""
+            # ... and nothing else: the idle one is still open.
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(idle_reader.read(1), timeout=0.05)
+            assert cluster.servers["A"].transport.stats.malformed_frames == 1
+            assert cluster.metrics_snapshot()["transport.malformed_frames"] == 1
+
+            client = await cluster.client("c1")
+            assert await client.put("k", "v") is not None
+            assert (await client.get("k")).values == ["v"]
+            bad_writer.close()
+            idle_writer.close()
+
+    asyncio.run(scenario(AsyncioCluster(create("dvv"), server_ids=SERVER_IDS)))

@@ -383,8 +383,16 @@ def merkle_sync_request(session, level, entries, partition):
     (1, [((0,), b"\x00" * 32)], 10_000),          # partition outside the map
     (0, [((), b"\x00" * 32)], None),              # no partition (whole keyspace)
     (1, [((0,), b"\x00" * 32)], [0]),             # partition that is not an int
+    ("1", [((0,), b"\x00" * 32)], 0),             # level that is not an int
+    (True, [((0,), b"\x00" * 32)], 0),            # level that is a bool
+    (-1, [((0,), b"\x00" * 32)], 0),              # negative level
+    (1, 5, 0),                                    # entries that are not a list
+    (1, [b"\x00" * 32], 0),                       # entry that is not a pair
+    (1, [(0, b"\x00" * 32)], 0),                  # path that is not a tuple
 ], ids=["path_outside_tree", "interior_path_at_leaf_level", "unknown_partition",
-        "no_partition", "partition_not_an_int"])
+        "no_partition", "partition_not_an_int", "level_not_an_int",
+        "level_is_a_bool", "negative_level", "entries_not_a_list",
+        "entry_not_a_pair", "path_not_a_tuple"])
 def test_malformed_merkle_sync_request_is_dropped(level, entries, partition):
     env = build_env()
     node = merkle_node(env)
@@ -441,7 +449,11 @@ OPENED = "opened"
     ([(99,)], None, OPENED),                      # descend below a bogus path
     ([(1,)], {(1,): {"key-0": b"\x00" * 32}}, OPENED),  # interior path as a bucket
     ([(0,)], None, [0]),                          # partition that is not an int
-], ids=["path_outside_tree", "interior_path_as_bucket", "partition_not_an_int"])
+    ([(0,)], [((0,), {})], OPENED),               # buckets that are not a dict
+    (5, None, OPENED),                            # differing that is not a list
+    ([0], None, OPENED),                          # path that is not a tuple
+], ids=["path_outside_tree", "interior_path_as_bucket", "partition_not_an_int",
+        "buckets_not_a_dict", "differing_not_a_list", "path_not_a_tuple"])
 def test_malformed_merkle_sync_response_is_dropped(differing, buckets, partition):
     env = build_env()
     node = merkle_node(env)
@@ -456,6 +468,26 @@ def test_malformed_merkle_sync_response_is_dropped(differing, buckets, partition
                                 else partition},
                        size_bytes=0)
     node.anti_entropy.sessions[session].open_partitions.add(opened)
+
+    assert node.on_message(response, now=1.0) == []
+    assert session in node.anti_entropy.sessions  # not finished, just dropped
+
+
+@pytest.mark.parametrize("level", ["1", True, -1],
+                         ids=["level_not_an_int", "level_is_a_bool", "negative_level"])
+def test_merkle_sync_response_with_malformed_level_is_dropped(level):
+    env = build_env()
+    node = merkle_node(env)
+    [opening] = sends(node.start_merkle_sync_with("B", now=0.0))
+    session = opening.payload["session"]
+    opened = min(opening.payload["roots"])
+    node.anti_entropy.sessions[session].open_partitions.add(opened)
+    response = Message(sender="B", receiver="A",
+                       msg_type=MessageType.MERKLE_SYNC_RESPONSE,
+                       payload={"session": session, "level": level,
+                                "differing": [(0,)], "buckets": None,
+                                "partition": opened},
+                       size_bytes=0)
 
     assert node.on_message(response, now=1.0) == []
     assert session in node.anti_entropy.sessions  # not finished, just dropped
